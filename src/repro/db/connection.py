@@ -31,6 +31,7 @@ from ..algebra import (
     Table,
     walk_relational,
 )
+from ..sqlparse import bind_lifted
 from .engine import Database
 from .physical import total_scanned
 from .types import Row, row_size_bytes
@@ -116,7 +117,8 @@ class Connection:
             + transferred_bytes / self.cost.bytes_per_ms
         )
         if self._log_queries:
-            self.stats.query_log.append(str(query))
+            # Log the query as issued: lifted literals bound back in.
+            self.stats.query_log.append(str(bind_lifted(query, params or {})))
         return rows
 
     def ship_temp_table(self, name: str, rows: list[Row]) -> None:

@@ -23,6 +23,7 @@ any mismatch — the differential safety net used by the fuzzer.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from functools import lru_cache
 from typing import Any
 
@@ -66,8 +67,32 @@ from .types import (
 #: Engines `Database.execute` understands.
 ENGINES = ("planned", "reference", "both")
 
-#: Plan-cache size bound: beyond this many distinct trees the cache resets.
+#: Size bound of the plan cache and the query-template cache: beyond this
+#: many entries the least recently used one is evicted.
 _PLAN_CACHE_LIMIT = 256
+
+
+class LruCache(OrderedDict):
+    """A mapping bounded to ``limit`` entries; a lookup through :meth:`get`
+    or a store marks the entry most recently used, and a store beyond the
+    bound evicts the least recently used one."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def get(self, key, default=None):
+        try:
+            self.move_to_end(key)
+        except KeyError:
+            return default
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > self.limit:
+            self.popitem(last=False)
 
 
 class EngineError(Exception):
@@ -104,9 +129,13 @@ class Database:
         #: entry stores ``(stats_epoch, plan, search)`` so a plan chosen for
         #: one data distribution is never reused after the distribution
         #: changes, and cache hits still restore ``last_plan_search``.
-        self._plan_cache: dict[RelExpr, Any] = {}
+        self._plan_cache = LruCache(_PLAN_CACHE_LIMIT)
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
+        #: Literal-lifted query templates keyed on their token tuple (see
+        #: :func:`repro.sqlparse.parse_template`).  A template depends on
+        #: the query text alone, so data and catalog changes keep it.
+        self.template_cache = LruCache(_PLAN_CACHE_LIMIT)
         #: Cached column arrays per table (columnar execution reads these).
         self._columns: dict[str, dict[str, list]] = {}
         #: Cached statistics per table (built lazily from the column cache).
@@ -126,6 +155,8 @@ class Database:
 
         self.aggregates[name.lower()] = fn
         register_aggregate_name(name)
+        # ``name(...)`` now parses as an aggregate call.
+        self.template_cache.clear()
 
     # ------------------------------------------------------------------
     # DDL / DML
@@ -352,8 +383,6 @@ class Database:
 
         self.plan_cache_misses += 1
         plan = Planner(self).lower(query)
-        if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-            self._plan_cache.clear()
         self._plan_cache[query] = (self._stats_epoch, plan, self.last_plan_search)
         return plan
 

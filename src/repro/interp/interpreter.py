@@ -9,16 +9,15 @@ The interpreter serves two roles in the reproduction:
 
 ``executeQuery("...")`` strings may contain named parameters (``:x``) that
 are bound from the program environment at call time, mirroring how the
-paper's D-IR resolves query parameters to program variables.
+paper's D-IR resolves query parameters to program variables.  Query text is
+parsed as a literal-lifted template (:func:`repro.sqlparse.parse_template`),
+so the N+1 texts a loop concatenates share one tree and one cached plan.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..algebra import params_of, walk_scalar
-from ..algebra.expressions import Param
-from ..algebra.operators import Select, walk_relational
 from ..db import Connection
 from ..lang import (
     Assign,
@@ -49,7 +48,7 @@ from ..lang import (
     Unary,
     While,
 )
-from ..sqlparse import parse_query
+from ..sqlparse import parse_template
 from .values import (
     Entity,
     ResultCursor,
@@ -337,9 +336,10 @@ class Interpreter:
     def _run_query(self, text: str, env: dict[str, Any]) -> list[dict]:
         if not isinstance(text, str):
             raise InterpreterError("executeQuery argument must be a string")
-        query = parse_query(text)
-        params = {}
-        for name in sorted(_query_params(query)):
+        query, params, free = parse_template(
+            text, self._connection.database.template_cache
+        )
+        for name in free:
             if name not in env:
                 raise InterpreterError(f"query parameter :{name} is unbound")
             params[name] = env[name]
@@ -564,34 +564,6 @@ class Interpreter:
 
 
 _NO_STATIC = object()
-
-
-def _query_params(query) -> set[str]:
-    """Collect parameter names anywhere in a relational tree."""
-    names: set[str] = set()
-    for node in walk_relational(query):
-        if isinstance(node, Select):
-            names |= params_of(node.pred)
-        for attr in ("pred", "items", "keys", "group_by", "aggs"):
-            value = getattr(node, attr, None)
-            if value is None:
-                continue
-            exprs = []
-            if attr == "pred":
-                exprs = [value]
-            elif attr == "items":
-                exprs = [item.expr for item in value]
-            elif attr == "keys":
-                exprs = [key.expr for key in value]
-            elif attr == "group_by":
-                exprs = list(value)
-            elif attr == "aggs":
-                exprs = [item.call.arg for item in value if item.call.arg is not None]
-            for scalar in exprs:
-                for sub in walk_scalar(scalar):
-                    if isinstance(sub, Param):
-                        names.add(sub.name)
-    return names
 
 
 def run_program(

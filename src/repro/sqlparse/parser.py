@@ -11,6 +11,7 @@ program variables.
 from __future__ import annotations
 
 import re
+from typing import Any
 
 from ..algebra import (
     AggCall,
@@ -38,7 +39,10 @@ from ..algebra import (
     SortKey,
     Table,
     UnOp,
+    bind_rel_literals,
     conjoin,
+    query_params,
+    walk_relational,
 )
 
 _AGG_FUNCS = {"sum", "min", "max", "avg", "count"}
@@ -118,6 +122,20 @@ def _tokenize(text: str) -> list[str]:
         tokens.append(match.group(1))
         pos = match.end()
     return tokens
+
+
+#: Comparison tokens whose right-hand literal a template lifts out.
+_LIFT_AFTER = frozenset({"=", "<>", "!="})
+
+#: First characters of the numeric and quoted-string literal tokens.
+_LITERAL_START = frozenset("'0123456789")
+
+
+def _literal_value(token: str) -> Any:
+    """The value of a numeric or quoted-string literal token."""
+    if token[0] == "'":
+        return token[1:-1].replace("''", "'")
+    return float(token) if "." in token else int(token)
 
 
 class _SqlParser:
@@ -452,27 +470,18 @@ class _SqlParser:
         if token == "?":
             self._advance()
             return Param(f"p{self._pos}")
-        if token.startswith("'"):
+        if token[0] in _LITERAL_START:
             self._advance()
-            return Lit(token[1:-1].replace("''", "'"))
+            return Lit(_literal_value(token))
         if token == "-":
             # Unary minus: the generator prints Lit(-5) as "-5" and
             # UnOp("-", e) as "-(e)", so both must read back.
             self._advance()
             follower = self._peek()
-            if follower and re.fullmatch(r"\d+", follower):
+            if follower[:1].isdigit():
                 self._advance()
-                return Lit(-int(follower))
-            if follower and re.fullmatch(r"\d+\.\d+", follower):
-                self._advance()
-                return Lit(-float(follower))
+                return Lit(-_literal_value(follower))
             return UnOp("-", self._parse_primary())
-        if re.fullmatch(r"\d+", token):
-            self._advance()
-            return Lit(int(token))
-        if re.fullmatch(r"\d+\.\d+", token):
-            self._advance()
-            return Lit(float(token))
         lowered = token.lower()
         if lowered == "null":
             self._advance()
@@ -546,6 +555,91 @@ def parse_query(text: str) -> RelExpr:
     if not tokens:
         raise SqlParseError("empty query")
     return _SqlParser(tokens).parse_query()
+
+
+def parse_template(
+    text: str, cache: dict
+) -> tuple[RelExpr, dict[str, Any], tuple[str, ...]]:
+    """Parse a query as a literal-lifted template of its shape.
+
+    Every numeric or quoted-string literal directly after ``=``, ``<>`` or
+    ``!=`` becomes a hidden parameter named by its position among the
+    lifted literals (``:0``, ``:1``, ...).  The lexer never produces such a
+    name for a user ``:param``, so the two cannot collide.  Texts that
+    differ only in lifted literals share one token key, and through
+    ``cache`` one tree, so a plan cache keyed on the tree hits for them
+    too.  All other literals stay in the key.
+
+    Returns ``(tree, literal_params, free_params)``.  Executing ``tree``
+    with ``literal_params`` plus bindings for the user parameter names
+    ``free_params`` (sorted) gives the rows of ``parse_query(text)``.
+    ``cache`` maps token keys to parsed templates (the database's bounded
+    :class:`~repro.db.engine.LruCache` in practice); parse errors are
+    raised and never cached.
+    """
+    tokens = _tokenize(text.strip().rstrip(";"))
+    if not tokens:
+        raise SqlParseError("empty query")
+    literals: dict[str, Any] = {}
+    key = list(tokens)
+    previous = ""
+    for index, token in enumerate(tokens):
+        if previous in _LIFT_AFTER and token[0] in _LITERAL_START:
+            name = str(len(literals))
+            literals[name] = _literal_value(token)
+            key[index] = ":" + name
+        previous = token
+    key = tuple(key)
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = _build_template(key, set(literals))
+    tree, free = entry
+    if tree is None:
+        return _SqlParser(tokens).parse_query(), {}, free
+    return tree, literals, free
+
+
+def _build_template(
+    key: tuple[str, ...], hidden: set[str]
+) -> tuple[RelExpr | None, tuple[str, ...]]:
+    """Parse a template key into ``(tree, free_params)``.
+
+    The tree is ``None`` when a lifted literal lands outside a ``WHERE``,
+    ``ON`` or ``HAVING`` predicate, or inside an aggregate or subquery
+    there: those positions spell output column names (``str`` of the
+    expression), so such texts are parsed with their literals in place.
+    """
+    tree = _SqlParser(list(key)).parse_query()
+    free = tuple(sorted(query_params(tree) - hidden))
+    if not hidden <= _predicate_params(tree):
+        return None, free
+    return tree, free
+
+
+def _predicate_params(rel: RelExpr) -> set[str]:
+    """Parameter names in selection and join predicates, outside aggregate
+    calls and subqueries."""
+    names: set[str] = set()
+    for node in walk_relational(rel):
+        pred = node.pred if isinstance(node, (Select, Join)) else None
+        if pred is not None:
+            names.update(_params_outside_aggregates(pred))
+    return names
+
+
+def _params_outside_aggregates(expr: ScalarExpr):
+    if isinstance(expr, Param):
+        yield expr.name
+    elif not isinstance(expr, AggCall):
+        for child in expr.children():
+            yield from _params_outside_aggregates(child)
+
+
+def bind_lifted(tree: RelExpr, params: dict[str, Any]) -> RelExpr:
+    """Put the lifted literals among ``params`` back into a template tree as
+    ``Lit`` nodes: the tree ``parse_query`` builds for the issued text."""
+    lifted = {name: value for name, value in params.items() if name[:1].isdigit()}
+    return bind_rel_literals(tree, lifted) if lifted else tree
 
 
 def combine_conjunctive(rel: RelExpr, extra_pred: ScalarExpr) -> RelExpr:

@@ -8,7 +8,7 @@ from repro import Catalog, Connection, Database
 from repro.core import extract_sql
 from repro.interp import Interpreter
 from repro.rewrite import eliminate_dead_code, insert_extractions
-from repro.sqlparse import parse_query
+from repro.sqlparse import bind_lifted, parse_query, parse_template
 
 PRODUCT_SOURCE = """
 prod() {
@@ -109,3 +109,14 @@ class TestCustomAggregates:
         db.insert("factors", {"id": 1, "x": 2})
         with pytest.raises(EngineError):
             db.execute(parse_query("select mystery(x) as m from factors"))
+
+    def test_registration_retires_cached_templates(self, factors_catalog):
+        """``name(...)`` parses as an aggregate call once registered, so a
+        template cached before the registration must not be reused."""
+        db = Database(factors_catalog)
+        text = "select spread(x) as s from factors where id = 1"
+        before, lits, _ = parse_template(text, db.template_cache)
+        db.register_aggregate("spread", lambda values: max(values) - min(values))
+        after, _, _ = parse_template(text, db.template_cache)
+        assert bind_lifted(after, lits) == parse_query(text)
+        assert after != before

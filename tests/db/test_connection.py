@@ -2,7 +2,7 @@
 
 from repro.algebra import AggCall, AggItem, Aggregate, Col, Table
 from repro.db import Connection, CostParameters, describe_plan
-from repro.sqlparse import parse_query
+from repro.sqlparse import parse_query, parse_template
 
 
 class TestAccounting:
@@ -52,7 +52,18 @@ class TestAccounting:
     def test_query_log(self, database):
         conn = Connection(database, log_queries=True)
         conn.execute_query(Table("project"))
-        assert len(conn.stats.query_log) == 1
+        assert conn.stats.query_log == [str(Table("project"))]
+
+    def test_query_log_binds_lifted_literals(self, database):
+        """A template executes with hidden parameters; the log shows the
+        query as issued, literals in place, user parameters left named."""
+        text = "from board as b where b.rnd_id = 2 and b.p1 != 'x' and b.id = :k"
+        tree, params, _ = parse_template(text, database.template_cache)
+        conn = Connection(database, log_queries=True)
+        conn.execute_query(tree, {**params, "k": 3})
+        assert conn.stats.query_log == [str(parse_query(text))]
+        assert "= 2" in conn.stats.query_log[0]
+        assert ":k" in conn.stats.query_log[0]
 
     def test_snapshot_keys(self, database):
         conn = Connection(database)

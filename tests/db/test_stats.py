@@ -31,6 +31,7 @@ from repro.db import (
     Histogram,
     TableStats,
 )
+from repro.db.engine import _PLAN_CACHE_LIMIT
 from repro.db.stats import (
     HISTOGRAM_BUCKETS,
     build_sampled_table_stats,
@@ -246,6 +247,25 @@ class TestPlanCacheEpochs:
         with pytest.raises(EngineError):
             db.columnar_mode = "vectorized"
         assert db.columnar_mode == "auto"
+
+    def test_overflow_evicts_the_least_recently_used_plan_only(self):
+        db = _make_db(20)
+        queries = [
+            Select(Table("t"), BinOp("=", Col("grp"), Lit(i)))
+            for i in range(_PLAN_CACHE_LIMIT + 1)
+        ]
+        for query in queries[:-1]:
+            db.plan(query)
+        db.plan(queries[0])  # now the most recently used
+        db.plan(queries[-1])  # one past the bound: evicts queries[1]
+        assert len(db._plan_cache) == _PLAN_CACHE_LIMIT
+        misses, hits = db.plan_cache_misses, db.plan_cache_hits
+        for query in queries[:1] + queries[2:]:
+            db.plan(query)
+        assert db.plan_cache_misses == misses
+        assert db.plan_cache_hits == hits + _PLAN_CACHE_LIMIT
+        db.plan(queries[1])
+        assert db.plan_cache_misses == misses + 1
 
 
 def _wide_db(rows: int) -> Database:

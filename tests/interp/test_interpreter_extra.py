@@ -6,6 +6,7 @@ import pytest
 from repro.db import Connection
 from repro.interp import Interpreter, InterpreterError
 from repro.lang import parse_program
+from repro.sqlparse import parse_query
 
 
 def run(source, database, function="main", args=()):
@@ -146,3 +147,42 @@ class TestOutputVar:
     def test_last_out_none_without_out_var(self, database):
         _, interp, _ = run("main() { return 0; }", database)
         assert interp.last_out is None
+
+
+class TestQueryTemplates:
+    """Queries run as literal-lifted templates: one parse and one plan per
+    shape, with the issued text still visible in the query log."""
+
+    N_PLUS_ONE = """
+    main() {
+        projects = executeQuery("from project as p");
+        total = 0;
+        for (p : projects) {
+            boards = executeQuery("select b.p1 from board b where b.rnd_id = " + p.getId());
+            for (b : boards) { total = total + b.getP1(); }
+        }
+        return total;
+    }
+    """
+
+    def test_n_plus_one_logs_its_literal_values(self, database):
+        conn = Connection(database, log_queries=True)
+        result = Interpreter(parse_program(self.N_PLUS_ONE), conn).run("main")
+        assert result == 110
+        inner = "select b.p1 from board b where b.rnd_id = {}"
+        assert conn.stats.query_log == [str(parse_query("from project as p"))] + [
+            str(parse_query(inner.format(n))) for n in (1, 2, 3, 4)
+        ]
+
+    def test_n_plus_one_plans_each_shape_once(self, database):
+        result, _, conn = run(self.N_PLUS_ONE, database)
+        assert result == 110
+        assert conn.stats.queries_executed == 5
+        assert database.plan_cache_misses == 2
+        assert database.plan_cache_hits == 3
+        assert len(database.template_cache) == 2
+
+    def test_unbound_parameter_raises(self, database):
+        source = 'main() { return executeQuery("from board as b where b.id = 1 and b.p1 = :missing"); }'
+        with pytest.raises(InterpreterError, match=":missing is unbound"):
+            run(source, database)

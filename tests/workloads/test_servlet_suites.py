@@ -1,5 +1,7 @@
 """Experiment 3 servlet-suite tests (RuBiS / RuBBoS / AcadPortal)."""
 
+import re
+
 import pytest
 
 from repro.core import optimize_program
@@ -104,3 +106,45 @@ class TestServletEquivalence:
         i2.run(servlet.function)
         assert i1.last_out == i2.last_out
         assert c2.stats.queries_executed < c1.stats.queries_executed
+
+
+#: A literal right after ``=`` or ``!=`` in a logged query: the part of the
+#: text a query template lifts out of the shape.
+_EQUALITY_LITERAL = re.compile(r"(=|!=) ('[^']*'|\d+(?:\.\d+)?)\)")
+
+
+class TestQueryTemplates:
+    """The as-written N+1 servlets, at the verification-replica scale, plan
+    once per distinct query shape rather than once per query, and still
+    print what their rewritten counterparts print."""
+
+    @pytest.mark.parametrize(
+        "suite, catalog_of, database_of",
+        [
+            (RUBIS_SERVLETS, rubis_catalog, rubis_database),
+            (ACADPORTAL_SERVLETS, acadportal_catalog, acadportal_database),
+        ],
+        ids=["rubis", "acadportal"],
+    )
+    def test_one_plan_per_query_shape(self, suite, catalog_of, database_of):
+        catalog = catalog_of()
+        original_db = database_of(catalog=catalog)
+        rewritten_db = database_of(catalog=catalog)
+        shapes: set[str] = set()
+        queries = 0
+        for servlet in suite:
+            report = optimize_program(servlet.source, servlet.function, catalog)
+            if report.rewritten is None:
+                continue
+            conn = Connection(original_db, log_queries=True)
+            original = Interpreter(report.original, conn)
+            original.run(servlet.function)
+            rewritten = Interpreter(report.rewritten, Connection(rewritten_db))
+            rewritten.run(servlet.function)
+            assert original.last_out == rewritten.last_out, servlet.name
+            queries += conn.stats.queries_executed
+            shapes.update(
+                _EQUALITY_LITERAL.sub(r"\1 ?)", text) for text in conn.stats.query_log
+            )
+        assert original_db.plan_cache_misses == len(shapes)
+        assert queries > 10 * len(shapes)
