@@ -24,6 +24,14 @@ Lowerings considered:
 * ``σ`` with equality conjuncts over a base table → :class:`IndexLookup`
   (auto-indexed on declared key columns, or on explicitly registered
   indexes); with several indexed conjuncts the NDV-best one is probed.
+* the right side of an OUTER APPLY is lowered knowing the names every
+  left row carries (:func:`carried_names`), so a correlated equality
+  probes the index with each left row's value instead of rescanning the
+  table per row.  A left input that is itself an APPLY guarantees only
+  its own left side's names: its right-side names are absent from padded
+  rows.  The probe columns pass the EXISTS decorrelation proof
+  (:func:`_outer_side_safe`); with no guaranteed names it is the plain
+  interference check, so plans outside an APPLY right side are unchanged.
 * ``σ`` whose predicate conjoins an ``EXISTS`` subquery → hash
   semi/anti-join, decorrelating equality conjuncts between inner and outer
   columns; uncorrelated ``EXISTS`` degenerates to a single emptiness probe.
@@ -205,6 +213,45 @@ def scope_names(node: RelExpr, catalog: Catalog) -> frozenset[str] | None:
     return None  # OuterApply and anything unknown: inexact
 
 
+def carried_names(node: RelExpr, catalog: Catalog) -> frozenset[str]:
+    """Names *every* row of ``node`` is guaranteed to carry (empty when
+    nothing is known).
+
+    :func:`scope_names` is the set a row *may* carry; this is the set it
+    *must* carry, which is what an OUTER APPLY right side may rely on in
+    its outer row.  A padded row carries less than a matched one: an
+    OUTER APPLY or left join guarantees only its left input's names, and a
+    projection guarantees its outputs plus the qualified names its input
+    guarantees."""
+    if isinstance(node, Table):
+        return scope_names(node, catalog) or frozenset()
+    if isinstance(node, (Select, Sort, Distinct, Limit)):
+        return carried_names(node.child, catalog)
+    if isinstance(node, OuterApply):
+        return carried_names(node.left, catalog)
+    if isinstance(node, Join):
+        left = carried_names(node.left, catalog)
+        if node.kind == "left":
+            return left
+        return left | carried_names(node.right, catalog)
+    if isinstance(node, Alias):
+        child = carried_names(node.child, catalog)
+        return child | frozenset(f"{node.name}.{c}" for c in child if "." not in c)
+    if isinstance(node, Project):
+        child = carried_names(node.child, catalog)
+        names = set()
+        for item in node.items:
+            if isinstance(item.expr, Col) and item.expr.name == "*":
+                names.update(child)
+            else:
+                names.add(item.output_name)
+        names.update(c for c in child if "." in c)
+        return frozenset(names)
+    if isinstance(node, Aggregate):
+        return scope_names(node, catalog)
+    return frozenset()
+
+
 def _resolves_strictly(col: Col, names: frozenset[str]) -> bool:
     """True when ``col`` gets a direct hit in a row with exactly ``names``
     (no bare-name fallback of a qualified reference, no suffix fallback) —
@@ -215,33 +262,20 @@ def _resolves_strictly(col: Col, names: frozenset[str]) -> bool:
     return col.name in names
 
 
-def _interferes(col: Col, names: frozenset[str]) -> bool:
-    """True when resolving ``col`` against a row *merged with* a row of
-    ``names`` could produce a different value than without it (direct hit,
-    qualified bare-name fallback, or suffix-fallback candidate)."""
-    if col.qualifier:
-        if f"{col.qualifier}.{col.name}" in names:
-            return True
-        return col.name in names  # qualified lookup falls back to bare
-    if col.name in names:
-        return True
-    suffix = f".{col.name}"
-    return any(name.endswith(suffix) for name in names)
-
-
 def _outer_side_safe(
     col: Col, inner_names: frozenset[str], outer_names: frozenset[str] | None
 ) -> bool:
     """True when ``col`` resolves to the same value on the outer scope alone
     as on the outer scope merged with an inner row (inner keys winning) —
     the soundness condition for moving an EXISTS correlation column from the
-    inner predicate to the semi-join's probe side.
+    inner predicate to the semi-join's probe side, and a probe column out
+    of an index lookup's predicate.  ``outer_names`` are the names the
+    outer scope is guaranteed to carry (``None``: none are).
 
     The lookup order is qualified name, then bare name, then suffix
     fallback; the inner row can only divert a step the outer scope does not
     already satisfy."""
-    if outer_names is None:
-        return not _interferes(col, inner_names)
+    outer_names = outer_names or frozenset()
     if col.qualifier:
         qualified = f"{col.qualifier}.{col.name}"
         if qualified in inner_names:
@@ -313,6 +347,10 @@ class Planner:
         self.memo = Memo()
         self._alternatives = 0
         self._choices: list[dict] = []
+        #: Names the outer row is guaranteed to carry while an OUTER APPLY
+        #: right side is lowered (empty outside one): what lets a
+        #: correlated equality probe an index per outer row.
+        self._outer_names: frozenset[str] = frozenset()
 
     # ------------------------------------------------------------------
 
@@ -386,10 +424,26 @@ class Planner:
             allow = isinstance(node.child, Aggregate)
             return LimitOp(self._lower(node.child, allow_columnar=allow), node.count)
         if isinstance(node, OuterApply):
-            return ApplyOp(self._lower(node.left), self._lower(node.right), node)
+            left = self._lower(node.left)
+            # ApplyOp runs the right side against the left row merged over
+            # the ambient outer row, so both sets of names are guaranteed.
+            names = carried_names(node.left, self.catalog) | self._outer_names
+            return ApplyOp(left, self._lower_against(node.right, names), node)
         if isinstance(node, Alias):
             return AliasOp(self._lower(node.child), node.name)
         raise EngineError(f"cannot evaluate {type(node).__name__}")
+
+    def _lower_against(
+        self, node: RelExpr, outer_names: frozenset[str]
+    ) -> PhysicalOp:
+        """Lower ``node`` with ``outer_names`` as the names its outer row is
+        guaranteed to carry."""
+        saved = self._outer_names
+        self._outer_names = outer_names
+        try:
+            return self._lower(node)
+        finally:
+            self._outer_names = saved
 
     # ------------------------------------------------------------------
     # Selection
@@ -510,7 +564,9 @@ class Planner:
         child_plan = self._filtered_child(node, others)
         row_semi = HashSemiJoin(
             child_plan,
-            self._lower(build_rel),
+            # The reference runs the EXISTS query against each child row,
+            # not the ambient outer row the build side sees.
+            self._lower_against(build_rel, frozenset()),
             outer_keys,
             inner_keys,
             negated,
@@ -659,7 +715,10 @@ class Planner:
 
         Applies when a probed column is part of the table's declared key
         (auto-indexed on first use) or carries an explicitly registered
-        index, and the probe expression cannot see the table's row.  Among
+        index, and the probe expression resolves the same against the outer
+        row alone as against the table's row merged over it — always so
+        when it cannot see the table's row, and under an OUTER APPLY also
+        when its columns are names every left row carries.  Among
         several indexable conjuncts, the one with the highest NDV (fewest
         expected matches) is probed.  Returns ``(plan, estimated_rows)`` or
         ``(None, None)``."""
@@ -683,7 +742,10 @@ class Planner:
                     continue
                 if _has_subquery(probe):
                     continue
-                if any(_interferes(c, names) for c in _cols_of(probe)):
+                if not all(
+                    _outer_side_safe(c, names, self._outer_names)
+                    for c in _cols_of(probe)
+                ):
                     continue
                 indexed = col.name in declared_key or self.db.has_index(
                     table.name, col.name

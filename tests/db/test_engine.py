@@ -239,6 +239,148 @@ class TestOuterApply:
         z = [r for r in rows if r["cust"] == "z"][0]
         assert z["amt"] is None
 
+    # Lowering of the right side: a correlated equality on an indexed
+    # column probes the index with the left row's value, unless the inner
+    # row could divert the probe column's lookup.
+
+    def test_key_correlation_probes_index(self, database):
+        right = Select(
+            Table("customers", "c"), BinOp("=", Col("cust", "c"), Col("cust", "o"))
+        )
+        rel = OuterApply(Table("orders", "o"), right)
+        assert _right_sides(database.explain(rel)) == [["IndexLookup"]]
+        rows = database.execute(rel, engine="both")
+        assert [(r["id"], r["c.region"]) for r in rows] == [
+            (1, "eu"), (2, "eu"), (3, "us"),
+        ]
+
+    def test_apply_chain_probes_every_right_side(self, database):
+        """The JobPortal shape: each APPLY's left input is an APPLY chain,
+        whose rows all carry the first table's names."""
+        # One-row tables scan cheaper than they probe; give them two.
+        database.insert("feedback1", {"applicantId": 2, "score1": 4})
+        database.insert("feedback2", {"applicantId": 2, "score2": 5})
+        rel = Table("applicants", "a")
+        for table, alias, column in (
+            ("personal", "p", "name"),
+            ("feedback1", "f1", "score1"),
+            ("feedback2", "f2", "score2"),
+        ):
+            probe = BinOp("=", Col("applicantId", alias), Col("applicantId", "a"))
+            rel = OuterApply(
+                rel,
+                Project(
+                    Select(Table(table, alias), probe),
+                    (ProjectItem(Col(column, alias), column),),
+                ),
+            )
+        sides = _right_sides(database.explain(rel))
+        assert sides == [["Project", "IndexLookup"]] * 3
+        rows = database.execute(rel, engine="both")
+        assert [(r["name"], r["score1"], r["score2"]) for r in rows] == [
+            ("ann", 9, 6), ("bob", 4, 5), ("cat", None, None),
+        ]
+
+    def test_null_correlation_pads(self, database):
+        database.insert("orders", {"id": 4, "cust": None, "amount": 1})
+        right = Select(
+            Table("customers", "c"), BinOp("=", Col("cust", "c"), Col("cust", "o"))
+        )
+        rel = OuterApply(Table("orders", "o"), right)
+        assert _right_sides(database.explain(rel)) == [["IndexLookup"]]
+        rows = database.execute(rel, engine="both")
+        assert rows[-1]["id"] == 4
+        assert rows[-1]["c.region"] is None
+
+    def test_apply_in_scalar_subquery_with_ambient_row(self, database):
+        apply = OuterApply(
+            Select(
+                Table("orders", "o"), BinOp("=", Col("cust", "o"), Col("cust", "k"))
+            ),
+            Select(
+                Table("customers", "c"),
+                BinOp("=", Col("cust", "c"), Col("cust", "o")),
+            ),
+        )
+        count = Aggregate(
+            apply, (), (AggItem(AggCall("count", Col("c.region")), "n"),)
+        )
+        rel = Project(
+            Table("customers", "k"),
+            (
+                ProjectItem(Col("cust", "k"), "cust"),
+                ProjectItem(ScalarSubquery(count), "n"),
+            ),
+        )
+        rows = database.execute(rel, engine="both")
+        assert [(r["cust"], r["n"]) for r in rows] == [("a", 2), ("b", 1)]
+        assert _right_sides(database.explain(apply)) == [["IndexLookup"]]
+
+    def test_inner_qualified_name_keeps_filter(self, database):
+        """Both sides carry ``t.id``; the inner row's value wins."""
+        database.create_index("wilosuser", "role_id")
+        right = Select(
+            Table("wilosuser", "t"), BinOp("=", Col("role_id", "t"), Col("id", "t"))
+        )
+        rel = OuterApply(Table("project", "t"), right)
+        assert _right_sides(database.explain(rel)) == [["Filter", "SeqScan"]]
+        rows = database.execute(rel, engine="both")
+        names = ("alpha", "beta", "gamma", "delta")
+        assert [r["name"] for r in rows] == [n for n in names for _ in range(2)]
+
+    def test_unqualified_inner_column_keeps_filter(self, database):
+        """Unqualified ``cust`` resolves to the customer row, not the order."""
+        right = Select(
+            Table("customers", "c"), BinOp("=", Col("cust", "c"), Col("cust"))
+        )
+        rel = OuterApply(Table("orders", "o"), right)
+        assert _right_sides(database.explain(rel)) == [["Filter", "SeqScan"]]
+        rows = database.execute(rel, engine="both")
+        assert len(rows) == 6
+
+    def test_left_join_padding_is_not_carried(self, database):
+        """A left join's padded rows lack ``o.id`` (an empty projected
+        right side pads only ``amt``), so ``o.id`` falls back to the inner
+        row's bare ``id`` and must not be probed from the outer row."""
+        empty = Project(
+            Select(Table("orders", "o"), Lit(False)),
+            (ProjectItem(Col("amount", "o"), "amt"),),
+        )
+        on = BinOp("=", Col("cust", "c"), Col("amt"))
+        left = Join(Table("customers", "c"), empty, on, "left")
+        right = Select(
+            Table("orders", "x"), BinOp("=", Col("id", "x"), Col("id", "o"))
+        )
+        rel = OuterApply(left, right)
+        assert _right_sides(database.explain(rel)) == [["Filter", "SeqScan"]]
+        assert len(database.execute(rel, engine="both")) == 6
+
+    def test_unindexed_column_keeps_filter(self, database):
+        right = Select(
+            Table("orders", "o"), BinOp("=", Col("cust", "o"), Col("cust", "c"))
+        )
+        rel = OuterApply(Table("customers", "c"), right)
+        assert _right_sides(database.explain(rel)) == [["Filter", "SeqScan"]]
+        assert len(database.execute(rel, engine="both")) == 3
+
+
+def _op_labels(explain):
+    """Pre-order op labels of an explain tree."""
+    labels = [explain["op"]]
+    for child in explain["children"]:
+        labels.extend(_op_labels(child))
+    return labels
+
+
+def _right_sides(explain):
+    """The op labels under every OuterApply's right child, outermost first."""
+    found = []
+    if explain["op"] == "OuterApply":
+        found.append(_op_labels(explain["children"][1]))
+    for child in explain["children"]:
+        found.extend(_right_sides(child))
+    return found
+
 
 class TestScalarExpressions:
     def test_case_when(self, database):

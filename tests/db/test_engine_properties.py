@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import (
+    AggCall,
+    AggItem,
+    Aggregate,
     BinOp,
     Catalog,
     Col,
@@ -11,6 +14,7 @@ from repro.algebra import (
     Join,
     Limit,
     Lit,
+    OuterApply,
     Project,
     ProjectItem,
     Select,
@@ -146,3 +150,68 @@ def test_selection_then_count_matches_python(data, x):
         (AggItem(AggCall("count", None), "n"),),
     )
     assert db.execute(rel)[0]["n"] == sum(1 for a, _ in data if a > x)
+
+
+maybe_int = st.one_of(st.none(), st.integers(0, 3))
+
+
+@given(
+    st.lists(st.tuples(maybe_int, maybe_int, maybe_int), min_size=1, max_size=8),
+    # Two or more rows, so probing the index can beat scanning them.
+    st.lists(st.tuples(maybe_int, maybe_int, maybe_int), min_size=2, max_size=8),
+    st.sampled_from(["id", "k", "v"]),
+    st.booleans(),
+    st.sampled_from(
+        [("id", "t"), ("a", "t"), ("b", "t"), ("a", None), ("id", None), ("k", "w")]
+    ),
+    st.sampled_from([None, "local", "correlated"]),
+    st.sampled_from([None, "project", "aggregate"]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_outer_apply_probe_matches_reference(
+    t_rows, u_rows, inner_col, index_k, outer_col, residual, head, swap, chained
+):
+    """OuterApply(t, σ[u.x = t.y](u)) plans an index probe per outer row
+    when ``u.x`` is indexed; planned ≡ reference either way.
+
+    ``u.id`` is the declared key (auto-indexed), ``u.k`` carries a
+    registered index when ``index_k``, ``u.v`` is never indexed.  Keys may
+    repeat and any value may be NULL.  ``chained`` puts another APPLY under
+    the left input: its rows all carry ``t``'s names, but ``w.k`` only when
+    they matched.  Bare ``id`` resolves to ``u``'s own column, and an
+    unresolved ``w.k`` falls back to ``u``'s bare ``k``.
+    """
+    db = Database(_catalog)
+    for i, a, b in t_rows:
+        db.insert("t", {"id": i, "a": a, "b": b})
+    for i, k, v in u_rows:
+        db.insert("u", {"id": i, "k": k, "v": v})
+    if index_k:
+        db.create_index("u", "k")
+
+    sides = (Col(inner_col, "u"), Col(*outer_col))
+    pred = BinOp("=", *(reversed(sides) if swap else sides))
+    if residual == "local":
+        pred = conjoin(pred, BinOp(">", Col("v", "u"), Lit(1)))
+    elif residual == "correlated":
+        pred = conjoin(pred, BinOp("<=", Col("v", "u"), Col("b", "t")))
+    right = Select(Table("u"), pred)
+    if head == "project":
+        right = Project(right, (ProjectItem(Col("v", "u"), "w"),))
+    elif head == "aggregate":
+        right = Aggregate(
+            right,
+            (),
+            (
+                AggItem(AggCall("count", None), "n"),
+                AggItem(AggCall("sum", Col("v", "u")), "s"),
+            ),
+        )
+    left = Table("t")
+    if chained:
+        matched = Select(Table("u", "w"), BinOp("=", Col("id", "w"), Col("a", "t")))
+        left = OuterApply(left, Project(matched, (ProjectItem(Col("k", "w"), "wk"),)))
+    # engine="both" raises EngineDivergenceError on any mismatch.
+    db.execute(OuterApply(left, right), engine="both")

@@ -1,5 +1,7 @@
 """Matoso (Figure 2) and JobPortal (Figure 12) workload tests."""
 
+import pytest
+
 from repro.core import optimize_program
 from repro.db import Connection
 from repro.interp import Interpreter
@@ -90,3 +92,30 @@ class TestJobPortal:
         )
         # 3 unconditional prints per applicant + 1 per online applicant
         assert len(interp.last_out) == 3 * len(db.rows("applicants")) + online
+
+    @staticmethod
+    def _run(program, db):
+        conn = Connection(db)
+        interp = Interpreter(program, conn)
+        interp.run("report", 7)
+        return interp.last_out, conn.stats
+
+    @pytest.mark.parametrize("applicants", [100, 400])
+    def test_rewritten_report_scans_linearly(self, applicants):
+        """Exp. 8 shape: each OUTER APPLY probes an index per applicant
+        instead of rescanning its table, so scanned rows grow linearly."""
+        catalog = jobportal_catalog()
+        db = jobportal_database(applicants=applicants, catalog=catalog)
+        report = optimize_program(JOB_REPORT, "report", catalog)
+        _, stats = self._run(report.rewritten, db)
+        assert stats.rows_scanned <= 6 * applicants
+
+    def test_rewritten_report_beats_original_by_50x(self):
+        """Paper Figure 11: EqSQL is up to two orders of magnitude faster."""
+        catalog = jobportal_catalog()
+        db = jobportal_database(applicants=500, catalog=catalog)
+        report = optimize_program(JOB_REPORT, "report", catalog)
+        original_out, original = self._run(report.original, db)
+        rewritten_out, rewritten = self._run(report.rewritten, db)
+        assert rewritten_out == original_out
+        assert rewritten.simulated_time_ms * 50 <= original.simulated_time_ms
