@@ -52,6 +52,7 @@ from ..algebra import (
     Table,
     UnOp,
 )
+from . import stats as _stats
 from .types import (
     Row,
     descending_key,
@@ -140,8 +141,12 @@ class Database:
         self._columns: dict[str, dict[str, list]] = {}
         #: Cached statistics per table (built lazily from the column cache).
         self._table_stats: dict[str, Any] = {}
-        #: Bumped by every invalidation; keys the plan cache and tells any
-        #: consumer of :meth:`stats` whether its snapshot is still current.
+        #: Exact statistics kept up to date on insert, per table; created
+        #: at the first insert after an exact build.
+        self._accumulators: dict[str, _stats.StatsAccumulator] = {}
+        #: Bumped by every insert, clear and create_table; keys the plan
+        #: cache and tells any consumer of :meth:`stats` whether its
+        #: snapshot is still current.
         self._stats_epoch = 0
         self._columnar_mode = "auto"
         #: Search breadcrumbs from the most recent :meth:`plan` call —
@@ -172,11 +177,52 @@ class Database:
         self._plan_cache.clear()
 
     def insert(self, name: str, row: Row) -> None:
-        """Insert one row (missing columns become NULL)."""
+        """Insert one row (missing columns become NULL).
+
+        What is built over the table is extended rather than dropped: the
+        row joins its value's bucket in every built hash index (an
+        unhashable value marks that index dirty instead), its values are
+        appended to the cached column arrays, and exact statistics are
+        brought up to date.  Statistics that cannot follow the row are
+        dropped and rebuilt on next use: sampled ones, a table growing past
+        :data:`~repro.db.stats.STATS_EXACT_MAX`, and values that are
+        unhashable or have no total order (mixed types, NaN).  The epoch
+        bump still retires every cached plan.
+        """
         table = self.catalog.get(name)
         stored = {col: row.get(col) for col in table.column_names()}
-        self._tables[name.lower()].append(stored)
-        self._invalidate(name)
+        lowered = name.lower()
+        rows = self._tables[lowered]
+        rows.append(stored)
+        for key, index in self._indexes.items():
+            if key[0] != lowered or index is None:
+                continue
+            value = stored.get(key[1])
+            if value is None:
+                continue  # NULL never matches an equality probe
+            try:
+                index.setdefault(value, []).append(stored)
+            except TypeError:  # unhashable: the rebuild records it
+                self._indexes[key] = None
+        columns = self._columns.get(lowered)
+        if columns is not None:
+            for column, values in columns.items():
+                values.append(stored.get(column))
+        # The cached snapshot is retired either way: the next stats() call
+        # snapshots the accumulator, or rebuilds when there is none.
+        accumulator = self._accumulators.pop(lowered, None)
+        built = self._table_stats.pop(lowered, None)
+        if len(rows) <= _stats.STATS_EXACT_MAX:
+            if accumulator is not None:
+                if not accumulator.append(stored):
+                    accumulator = None
+            elif built is not None and not built.sampled:
+                accumulator = _stats.StatsAccumulator(lowered, self.columns(name))
+                if not accumulator.maintainable:
+                    accumulator = None
+            if accumulator is not None:
+                self._accumulators[lowered] = accumulator
+        self._stats_epoch += 1
 
     def insert_many(self, name: str, rows: list[Row]) -> None:
         for row in rows:
@@ -251,14 +297,17 @@ class Database:
 
     def _invalidate(self, name: str) -> None:
         """Mark every index of ``name`` dirty (rebuilt on next lookup) and
-        drop the table's cached column arrays and statistics.  The epoch
-        bump retires every cached plan chosen under the old statistics."""
+        drop the table's cached column arrays and statistics, maintained
+        ones included.  Used when the table is replaced (clear,
+        create_table); :meth:`insert` extends instead.  The epoch bump
+        retires every cached plan chosen under the old statistics."""
         lowered = name.lower()
         for key in self._indexes:
             if key[0] == lowered:
                 self._indexes[key] = None
         self._columns.pop(lowered, None)
         self._table_stats.pop(lowered, None)
+        self._accumulators.pop(lowered, None)
         self._stats_epoch += 1
 
     # ------------------------------------------------------------------
@@ -267,24 +316,17 @@ class Database:
     def columns(self, name: str) -> dict[str, list]:
         """Return ``name``'s rows transposed into column arrays.
 
-        The transposition is cached and invalidated by the same
-        dirty-marking that rebuilds hash indexes, so repeated columnar
-        executions and statistics builds share one pass over the rows.
-        The arrays are shared — callers must not mutate them.
+        The transposition is cached: :meth:`insert` appends to the arrays,
+        and clear/create_table drop them.  Repeated columnar executions and
+        statistics builds share one pass over the rows.  The arrays are
+        shared — callers must not mutate them, nor hold them across an
+        insert.
         """
         lowered = name.lower()
         cached = self._columns.get(lowered)
-        if cached is not None:
-            return cached
-        rows = self.rows(name)
-        names = (
-            self.catalog.get(name).column_names()
-            if name in self.catalog
-            else sorted({c for row in rows for c in row})
-        )
-        columns = {column: [row.get(column) for row in rows] for column in names}
-        self._columns[lowered] = columns
-        return columns
+        if cached is None:
+            cached = self._columns[lowered] = self._transpose(name)
+        return cached
 
     def stats(self, name: str, sample: int | None = None):
         """Return the :class:`~repro.db.stats.TableStats` for a base table.
@@ -293,9 +335,11 @@ class Database:
         returned, built lazily under the automatic policy: an exact full
         pass up to :data:`~repro.db.stats.STATS_EXACT_MAX` rows, and a
         reservoir-style sample of :data:`~repro.db.stats.STATS_SAMPLE_SIZE`
-        rows above it (scaled NDV/NULL estimates, sample histograms).  Kept
-        fresh by ``_invalidate``: any insert/clear/create_table drops the
-        cached object and the next call rebuilds it from the current rows.
+        rows above it (scaled NDV/NULL estimates, sample histograms).  An
+        insert extends exact statistics in place (see :meth:`insert`), and
+        the next call snapshots them: equal, field for field, to
+        ``stats(name, sample=0)``.  Sampled statistics, and exact ones an
+        insert cannot extend, are rebuilt from the current rows.
 
         An explicit ``sample`` bypasses both the cache and the policy and
         builds fresh statistics: ``sample=0`` forces an exact full pass;
@@ -305,18 +349,12 @@ class Database:
         lowered = name.lower()
         if lowered not in self._tables:
             raise EngineError(f"unknown table {name!r}")
-        from .stats import (
-            STATS_EXACT_MAX,
-            STATS_SAMPLE_SIZE,
-            build_sampled_table_stats,
-            build_table_stats,
-        )
-
         if sample is not None:
             rows = self._tables[lowered]
             if sample <= 0:
-                return build_table_stats(lowered, self._exact_columns(name))
-            return build_sampled_table_stats(
+                # Bypasses the column cache: a genuine full pass.
+                return _stats.build_table_stats(lowered, self._transpose(name))
+            return _stats.build_sampled_table_stats(
                 lowered, rows, self._column_names(name, rows), sample
             )
 
@@ -324,12 +362,15 @@ class Database:
         if cached is not None:
             return cached
         rows = self._tables[lowered]
-        if len(rows) > STATS_EXACT_MAX:
-            stats = build_sampled_table_stats(
-                lowered, rows, self._column_names(name, rows), STATS_SAMPLE_SIZE
+        accumulator = self._accumulators.get(lowered)
+        if accumulator is not None:
+            stats = accumulator.snapshot()
+        elif len(rows) > _stats.STATS_EXACT_MAX:
+            stats = _stats.build_sampled_table_stats(
+                lowered, rows, self._column_names(name, rows), _stats.STATS_SAMPLE_SIZE
             )
         else:
-            stats = build_table_stats(lowered, self.columns(name))
+            stats = _stats.build_table_stats(lowered, self.columns(name))
         self._table_stats[lowered] = stats
         return stats
 
@@ -338,9 +379,8 @@ class Database:
             return self.catalog.get(name).column_names()
         return None
 
-    def _exact_columns(self, name: str) -> dict[str, list]:
-        """Column arrays for an exact statistics build, bypassing the cache
-        so an explicit ``stats(sample=0)`` measures a genuine full pass."""
+    def _transpose(self, name: str) -> dict[str, list]:
+        """Fresh column arrays of ``name``'s rows."""
         rows = self.rows(name)
         names = self._column_names(name, rows) or sorted(
             {c for row in rows for c in row}

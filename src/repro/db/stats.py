@@ -7,9 +7,11 @@ knowledge of the data.  This module grounds them in observed table shape:
 * :class:`TableStats` — row count plus per-column :class:`ColumnStats`
   (non-NULL count, NULL count, number of distinct values, min/max, and an
   equi-width :class:`Histogram` for all-numeric columns).  Statistics are
-  collected lazily from the cached column arrays on first use and kept
-  fresh by the same dirty-marking machinery that invalidates hash indexes
-  (``Database._invalidate`` on insert/clear/create_table).
+  collected lazily from the cached column arrays on first use.  Exact
+  ones are then kept fresh on insert by a :class:`StatsAccumulator`
+  (sorted distinct values, NULL counts, histogram counts), whose snapshot
+  equals a full rebuild; ``Database._invalidate`` on clear/create_table
+  drops them, and sampled ones are rebuilt after every insert.
 * :class:`CardinalityEstimator` — textbook selectivity arithmetic over
   those statistics: ``1/NDV`` for equality, histogram fractions for range
   predicates, independence for AND, inclusion–exclusion for OR, and
@@ -24,10 +26,13 @@ cost performance but never correctness.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Mapping
 
 from ..algebra import (
     Aggregate,
@@ -108,9 +113,16 @@ class Histogram:
         return min(1.0, max(0.0, (below + within) / self.total))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnStats:
-    """Shape summary of one column."""
+    """Shape summary of one column.
+
+    A numeric column — every non-NULL value an ``int`` or ``float`` (not
+    ``bool``) and the value range finite — carries a histogram.
+    Statistics maintained on append may defer it: the snapshot then holds
+    a function that builds it, run on the first read of :attr:`histogram`
+    and cached.  Equality compares resolved histograms.
+    """
 
     name: str
     row_count: int
@@ -118,7 +130,35 @@ class ColumnStats:
     ndv: int
     min_value: Any
     max_value: Any
-    histogram: Histogram | None
+    #: The histogram, a function building it, or ``None``.
+    _histogram: Histogram | Callable[[], Histogram] | None = field(repr=False)
+
+    @property
+    def numeric(self) -> bool:
+        """Whether the column has a histogram, without building a deferred one."""
+        return self._histogram is not None
+
+    @property
+    def histogram(self) -> Histogram | None:
+        if callable(self._histogram):
+            object.__setattr__(self, "_histogram", self._histogram())
+        return self._histogram
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnStats):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def _compared(self) -> tuple:
+        return (
+            self.name,
+            self.row_count,
+            self.null_count,
+            self.ndv,
+            self.min_value,
+            self.max_value,
+            self.histogram,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -162,61 +202,177 @@ class TableStats:
         }
 
 
-def _build_histogram(values: list, lo: float, hi: float) -> Histogram:
-    buckets = HISTOGRAM_BUCKETS
-    counts = [0] * buckets
+def _histogram_range(lo, hi) -> tuple[float, float] | None:
+    """``(lo, hi)`` as floats, or ``None`` when the range is not finite: an
+    infinite range (``inf``, ``-inf``, or an overflowing span) has no
+    finite bucket width, so such a column gets no histogram."""
+    try:
+        lo, hi = float(lo), float(hi)
+    except OverflowError:
+        return None
+    return (lo, hi) if math.isfinite(hi - lo) else None
+
+
+def _bucket(value, lo: float, hi: float) -> int:
+    """The bucket of ``value`` in an equi-width histogram over ``[lo, hi]``."""
     if hi <= lo:
-        counts[0] = len(values)
-        return Histogram(lo=lo, hi=hi, counts=tuple(counts), total=len(values))
-    scale = buckets / (hi - lo)
-    top = buckets - 1
+        return 0
+    index = int((value - lo) * (HISTOGRAM_BUCKETS / (hi - lo)))
+    return min(index, HISTOGRAM_BUCKETS - 1)
+
+
+def _build_histogram(values: list, lo: float, hi: float) -> Histogram:
+    counts = [0] * HISTOGRAM_BUCKETS
     for value in values:
-        index = int((value - lo) * scale)
-        counts[index if index < top else top] += 1
+        counts[_bucket(value, lo, hi)] += 1
     return Histogram(lo=lo, hi=hi, counts=tuple(counts), total=len(values))
 
 
-def _column_stats(name: str, values: list) -> ColumnStats:
-    non_null = [v for v in values if v is not None]
-    null_count = len(values) - len(non_null)
-    try:
-        ndv = len(set(non_null))
-    except TypeError:  # unhashable values: distinct-by-repr approximation
-        ndv = len({repr(v) for v in non_null})
-    min_value = max_value = None
-    if non_null:
-        try:
-            min_value = min(non_null)
-            max_value = max(non_null)
-        except TypeError:  # mixed incomparable types: no order statistics
-            min_value = max_value = None
-    histogram = None
-    if (
-        min_value is not None
-        and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in non_null
+def _deferred_histogram(values: list, n: int, span: tuple[float, float]) -> Histogram:
+    """The histogram of the non-NULL values among the first ``n`` of
+    ``values``: the column as it was when a snapshot deferred it."""
+    return _build_histogram([v for v in values[:n] if v is not None], *span)
+
+
+class _ColumnAccumulator:
+    """Exact statistics of one column, extendable value by value.
+
+    ``distinct`` is the sorted list of distinct non-NULL values: NDV is its
+    length, min and max its ends.  (A list, not a set: a set of a few
+    thousand values costs about ten times the memory.)  ``counts`` holds
+    the histogram while appended values stay inside its range and is
+    ``None`` once one moves it.  Values that are unhashable or have no
+    total order (mixed types, NaN) get fixed statistics, computed once.
+    """
+
+    __slots__ = ("name", "values", "nulls", "numeric", "distinct", "counts", "fixed")
+
+    def __init__(self, name: str, values: list):
+        self.name = name
+        self.values = values
+        self.distinct = self.counts = self.fixed = None
+        non_null = [v for v in values if v is not None]
+        self.nulls = len(values) - len(non_null)
+        self.numeric = all(
+            issubclass(t, (int, float)) and not issubclass(t, bool)
+            for t in {type(v) for v in non_null}
         )
-    ):
-        histogram = _build_histogram(non_null, float(min_value), float(max_value))
-    return ColumnStats(
-        name=name,
-        row_count=len(values),
-        null_count=null_count,
-        ndv=ndv,
-        min_value=min_value,
-        max_value=max_value,
-        histogram=histogram,
-    )
+        try:
+            distinct = set(non_null)
+        except TypeError:  # unhashable values: distinct-by-repr approximation
+            try:
+                lo, hi = min(non_null), max(non_null)
+            except TypeError:
+                lo = hi = None
+            ndv = len({repr(v) for v in non_null})
+            self.fixed = ColumnStats(name, len(values), self.nulls, ndv, lo, hi, None)
+            return
+        if all(v == v for v in distinct):  # NaN has no place in an order
+            try:
+                self.distinct = sorted(distinct)
+            except TypeError:  # mixed incomparable types
+                pass
+        if self.distinct is None:  # no total order: no order statistics
+            self.fixed = ColumnStats(
+                name, len(values), self.nulls, len(distinct), None, None, None
+            )
+            return
+        span = self._span()
+        if span is not None:
+            self.counts = list(_build_histogram(non_null, *span).counts)
+
+    def _span(self) -> tuple[float, float] | None:
+        """The histogram's range, or ``None`` when the column has none."""
+        if not (self.numeric and self.distinct):
+            return None
+        return _histogram_range(self.distinct[0], self.distinct[-1])
+
+    def append(self, value) -> bool:
+        """Account for ``value``, already appended to ``values``.  Returns
+        False when the statistics cannot follow it; the accumulator is then
+        stale."""
+        if value is None:
+            self.nulls += 1
+            return True
+        distinct = self.distinct
+        if distinct is None or value != value:
+            return False
+        try:
+            i = bisect_left(distinct, value)
+        except TypeError:  # mixed incomparable types
+            return False
+        moved = False
+        if i == len(distinct) or distinct[i] != value:
+            moved = i == 0 or i == len(distinct)
+            distinct.insert(i, value)
+        self.numeric = (
+            self.numeric
+            and isinstance(value, (int, float))
+            and not isinstance(value, bool)
+        )
+        if moved:
+            self.counts = None  # rebuilt over the new range on first read
+        elif self.counts is not None:
+            span = self._span()
+            if span is None:
+                self.counts = None
+            else:
+                self.counts[_bucket(value, *span)] += 1
+        return True
+
+    def snapshot(self) -> ColumnStats:
+        if self.fixed is not None:
+            return self.fixed
+        distinct, n = self.distinct, len(self.values)
+        lo = hi = histogram = None
+        if distinct:
+            lo, hi = distinct[0], distinct[-1]
+            span = self._span()
+            if span is not None and self.counts is not None:
+                histogram = Histogram(*span, tuple(self.counts), n - self.nulls)
+            elif span is not None:
+                histogram = partial(_deferred_histogram, self.values, n, span)
+        return ColumnStats(self.name, n, self.nulls, len(distinct), lo, hi, histogram)
+
+
+class StatsAccumulator:
+    """Exact statistics of one table, extended row by row.
+
+    Built in one pass over the table's column arrays, and holds on to
+    them: :meth:`append` expects a row already appended to those arrays.
+    :meth:`snapshot` is the :class:`TableStats` of the rows so far, equal
+    field for field to a full rebuild over them.
+    """
+
+    def __init__(self, table: str, columns: Mapping[str, list]):
+        self.table = table.lower()
+        self.columns = {
+            name: _ColumnAccumulator(name, values) for name, values in columns.items()
+        }
+
+    @property
+    def maintainable(self) -> bool:
+        """Whether :meth:`append` can follow further rows: every column's
+        values are hashable and totally ordered."""
+        return all(column.fixed is None for column in self.columns.values())
+
+    def append(self, row: Mapping[str, Any]) -> bool:
+        """Account for ``row``; False when the statistics cannot follow it."""
+        return all(
+            column.append(row.get(name)) for name, column in self.columns.items()
+        )
+
+    def snapshot(self) -> TableStats:
+        columns = {name: column.snapshot() for name, column in self.columns.items()}
+        row_count = next(iter(columns.values())).row_count if columns else 0
+        return TableStats(table=self.table, row_count=row_count, columns=columns)
 
 
 def build_table_stats(
     table: str, columns: Mapping[str, list]
 ) -> TableStats:
-    """Collect statistics from a table's column arrays (one full pass)."""
-    stats = {name: _column_stats(name, values) for name, values in columns.items()}
-    row_count = len(next(iter(columns.values()))) if columns else 0
-    return TableStats(table=table.lower(), row_count=row_count, columns=stats)
+    """Collect exact statistics from a table's column arrays (one full pass)."""
+    return StatsAccumulator(table, columns).snapshot()
 
 
 def estimate_ndv(sample_distinct: int, sample_size: int, population: int) -> int:
@@ -264,40 +420,11 @@ def _sampled_column_stats(
     (:meth:`Histogram.fraction_le`) is fraction-based, so no scaling is
     needed.
     """
-    non_null = [v for v in values if v is not None]
-    sample_nulls = len(values) - len(non_null)
-    null_count = round(sample_nulls * population / max(sample_size, 1))
-    non_null_pop = max(population - null_count, len(non_null))
-    try:
-        sample_ndv = len(set(non_null))
-    except TypeError:
-        sample_ndv = len({repr(v) for v in non_null})
-    ndv = estimate_ndv(sample_ndv, len(non_null), non_null_pop)
-    min_value = max_value = None
-    if non_null:
-        try:
-            min_value = min(non_null)
-            max_value = max(non_null)
-        except TypeError:
-            min_value = max_value = None
-    histogram = None
-    if (
-        min_value is not None
-        and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in non_null
-        )
-    ):
-        histogram = _build_histogram(non_null, float(min_value), float(max_value))
-    return ColumnStats(
-        name=name,
-        row_count=population,
-        null_count=null_count,
-        ndv=ndv,
-        min_value=min_value,
-        max_value=max_value,
-        histogram=histogram,
-    )
+    sample = _ColumnAccumulator(name, values).snapshot()
+    null_count = round(sample.null_count * population / max(sample_size, 1))
+    non_null = sample.row_count - sample.null_count
+    ndv = estimate_ndv(sample.ndv, non_null, max(population - null_count, non_null))
+    return replace(sample, row_count=population, null_count=null_count, ndv=ndv)
 
 
 def build_sampled_table_stats(
@@ -464,7 +591,7 @@ class CardinalityEstimator:
             return 0.0
         if value is None:
             return 0.0  # col = NULL is never true
-        if value is not _UNKNOWN and cs.histogram is not None:
+        if value is not _UNKNOWN and cs.numeric:
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 if value < cs.min_value or value > cs.max_value:
                     return 0.0
@@ -475,8 +602,8 @@ class CardinalityEstimator:
     def _range_sel(self, op: str, cs: ColumnStats, value) -> float:
         if cs.row_count == 0:
             return 0.0
-        if value is None:
-            return 0.0
+        if value is None or value != value:
+            return 0.0  # NULL and NaN satisfy no comparison
         hist = cs.histogram
         if (
             value is _UNKNOWN

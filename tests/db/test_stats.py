@@ -1,8 +1,9 @@
 """Unit tests for table statistics and cardinality estimation.
 
 Covers statistics collection (row counts, NDV, min/max, NULL accounting,
-equi-width histograms), the lazy-build/dirty-marking lifecycle shared with
-the hash indexes, the statistics-epoch keying of the plan cache, the
+equi-width histograms, non-finite values), their maintenance on append
+alongside the column arrays and hash indexes, the statistics-epoch keying
+of the plan cache, the
 ``columnar_mode`` knob, and the rewrite-cost bridge
 (``DeploymentProfile.with_observed`` and the estimator-upgraded
 ``AlternativeCostModel``).
@@ -10,8 +11,13 @@ the hash indexes, the statistics-epoch keying of the plan cache, the
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.db.stats
 from repro.algebra import (
     AggCall,
     AggItem,
@@ -21,6 +27,7 @@ from repro.algebra import (
     Col,
     Join,
     Lit,
+    Param,
     Select,
     Table,
 )
@@ -417,3 +424,209 @@ class TestRewriteCostBridge:
             LOCAL, database=db, estimator=CardinalityEstimator(db)
         )
         assert observed.cardinality(query).rows == pytest.approx(20.0, rel=0.01)
+
+
+# ----------------------------------------------------------------------
+# Maintenance on append
+
+_COLUMNS = ["id", "a", "b"]
+
+#: Appended values: in-range and out-of-range numbers, duplicates of the
+#: initial values, bools, strings and NULLs, plus values the statistics
+#: cannot follow (non-finite floats, mixed types, unhashable lists).
+_APPENDED = st.one_of(
+    st.none(),
+    st.integers(-8, 8),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([0, 1, 2.5, "s0"]),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _index_of(rows: list, column: str) -> dict | None:
+    index: dict = {}
+    try:
+        for row in rows:
+            if row[column] is not None:
+                index.setdefault(row[column], []).append(row)
+    except TypeError:
+        return None
+    return index
+
+
+def _check_order_statistics(stats: TableStats, rows: list) -> None:
+    """NDV, min and max against their definitions, for every column whose
+    values are hashable and totally ordered."""
+    for column in _COLUMNS:
+        values = [row[column] for row in rows if row[column] is not None]
+        if any(v != v for v in values):
+            continue  # NaN: no order statistics
+        try:
+            expected = (len(set(values)), min(values), max(values))
+        except (TypeError, ValueError):  # unhashable, mixed types, or empty
+            continue
+        cs = stats.column(column)
+        assert (cs.ndv, cs.min_value, cs.max_value) == expected
+
+
+@given(
+    initial=st.lists(st.one_of(st.none(), st.integers(-3, 3)), max_size=12),
+    stream=st.lists(st.tuples(_APPENDED, _APPENDED), max_size=25),
+    headroom=st.integers(0, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_append_keeps_statistics_arrays_and_indexes_equal_to_a_rebuild(
+    initial, stream, headroom
+):
+    exact_max = len(initial) + headroom
+    with mock.patch.multiple(
+        "repro.db.stats", STATS_EXACT_MAX=exact_max, STATS_SAMPLE_SIZE=8
+    ):
+        cat = Catalog()
+        cat.define("t", _COLUMNS, key=("id",))
+        db = Database(cat)
+        db.insert_many(
+            "t", [{"id": i, "a": a, "b": f"s{i % 3}"} for i, a in enumerate(initial)]
+        )
+        db.create_index("t", "a")
+        db.stats("t")
+        db.columns("t")
+        db.index_on("t", "a")
+        db.index_on("t", "id", auto=True)
+        for offset, (a, b) in enumerate(stream):
+            db.insert("t", {"id": len(initial) + offset, "a": a, "b": b})
+            rows = db.rows("t")
+            if len(rows) > exact_max:
+                expected = build_sampled_table_stats("t", rows, _COLUMNS, 8)
+            else:
+                expected = db.stats("t", sample=0)
+                _check_order_statistics(expected, rows)
+            assert db.stats("t") == expected
+            assert db.columns("t") == {
+                column: [row[column] for row in rows] for column in _COLUMNS
+            }
+            for column in ("id", "a"):
+                assert db.index_on("t", column) == _index_of(rows, column)
+
+
+def test_appends_extend_instead_of_rebuilding(monkeypatch):
+    """50 appends to a 6×10³-row table whose statistics, column arrays and
+    key index are built, with a point lookup and a columnar aggregate after
+    each: no statistics build, no transposition, and the index is the same
+    object throughout (a rebuild makes a new one)."""
+    db = _make_db(6_000)
+    lookup = Select(Table("t"), BinOp("=", Col("id"), Param("k")))
+    aggregate = Aggregate(
+        Select(Table("t"), BinOp(">", Col("val"), Lit(100.0))),
+        (Col("grp"),),
+        (AggItem(AggCall("sum", Col("val")), "s"),),
+    )
+
+    def run(k: int) -> list[str]:
+        ops = []
+        for query in (lookup, aggregate):
+            stack = [db.explain(query, {"k": k})]
+            while stack:
+                node = stack.pop()
+                ops.append(node["op"])
+                stack.extend(node["children"])
+        return ops
+
+    run(1)
+    index = db.index_on("t", "id")
+    builds: list = []
+    transposes: list = []
+    build_table_stats = repro.db.stats.build_table_stats
+    transpose = Database._transpose
+    monkeypatch.setattr(
+        repro.db.stats,
+        "build_table_stats",
+        lambda *args: builds.append(args) or build_table_stats(*args),
+    )
+    monkeypatch.setattr(
+        Database,
+        "_transpose",
+        lambda self, name: transposes.append(name) or transpose(self, name),
+    )
+    for i in range(6_000, 6_050):
+        db.insert("t", {"id": i, "grp": i % 10, "val": float(i), "label": "x"})
+        ops = run(i)
+        assert "IndexLookup" in ops
+        assert any(op.startswith("Columnar") for op in ops)
+        assert db.index_on("t", "id") is index
+    assert builds == []
+    assert transposes == []
+    assert db.stats("t") == db.stats("t", sample=0)
+
+
+def test_new_maximum_defers_the_histogram_past_equality_estimates():
+    db = _make_db(200)
+    db.stats("t")
+    for i in (998, 999):  # the first insert starts maintenance, the second defers
+        db.insert("t", {"id": i, "grp": 0, "val": float(i), "label": "x"})
+    val = db.stats("t").column("val")
+    assert val.numeric
+    estimator = CardinalityEstimator(db)
+    assert estimator.selectivity(BinOp("=", Col("val"), Lit(5.0)), "t") > 0
+    assert callable(val._histogram)  # the estimate did not build it
+    assert val.histogram == db.stats("t", sample=0).column("val").histogram
+    assert not callable(val._histogram)  # built once, then cached
+
+
+_RANGE_QUERY = Select(Table("t"), BinOp(">", Col("val"), Lit(3.0)))
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+)
+class TestNonFiniteValues:
+    """A non-finite float in a numeric column gives it no histogram, and
+    planned queries over it agree with the reference engine."""
+
+    def test_exact_build(self, bad):
+        db = _make_db(100)
+        db.insert("t", {"id": 500, "grp": 1, "val": bad, "label": "x"})
+        assert db.stats("t").column("val").histogram is None
+        assert len(db.execute(_RANGE_QUERY, engine="both")) == 96 + (bad > 3.0)
+
+    def test_sampled_build(self, bad, monkeypatch):
+        monkeypatch.setattr("repro.db.stats.STATS_EXACT_MAX", 50)
+        monkeypatch.setattr("repro.db.stats.STATS_SAMPLE_SIZE", 60)
+        db = _make_db(0)
+        db.insert_many(
+            "t",
+            [
+                {"id": i, "grp": i % 10, "val": bad if i % 4 == 0 else float(i)}
+                for i in range(100)
+            ],
+        )
+        stats = db.stats("t")
+        assert stats.sampled
+        assert stats.column("val").histogram is None
+        db.execute(_RANGE_QUERY, engine="both")
+
+    def test_after_append(self, bad):
+        db = _make_db(100)
+        db.execute(_RANGE_QUERY, engine="both")
+        db.insert("t", {"id": 500, "grp": 1, "val": bad, "label": "x"})
+        assert len(db.execute(_RANGE_QUERY, engine="both")) == 96 + (bad > 3.0)
+        assert db.stats("t") == db.stats("t", sample=0)
+
+    def test_min_max_independent_of_row_order(self, bad):
+        values = [bad, 1.0, 5.0, 2.0]
+        ends = []
+        for ordered in (values, values[::-1]):
+            db = _make_db(0)
+            db.insert_many("t", [{"id": i, "val": v} for i, v in enumerate(ordered)])
+            cs = db.stats("t").column("val")
+            ends.append((cs.min_value, cs.max_value))
+        assert ends[0] == ends[1]
+
+
+def test_nan_literal_in_a_range_predicate():
+    db = _make_db(100)
+    query = Select(Table("t"), BinOp(">", Col("val"), Lit(float("nan"))))
+    assert db.execute(query, engine="both") == []
