@@ -217,7 +217,11 @@ def _bucket(value, lo: float, hi: float) -> int:
     """The bucket of ``value`` in an equi-width histogram over ``[lo, hi]``."""
     if hi <= lo:
         return 0
-    index = int((value - lo) * (HISTOGRAM_BUCKETS / (hi - lo)))
+    scale = HISTOGRAM_BUCKETS / (hi - lo)
+    if math.isinf(scale):  # a subnormal span: divide by it first
+        index = int((value - lo) / (hi - lo) * HISTOGRAM_BUCKETS)
+    else:
+        index = int((value - lo) * scale)
     return min(index, HISTOGRAM_BUCKETS - 1)
 
 

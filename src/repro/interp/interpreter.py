@@ -1,4 +1,4 @@
-"""Tree-walking interpreter for MiniJava programs over the DB substrate.
+"""Compile-once interpreter for MiniJava programs over the DB substrate.
 
 The interpreter serves two roles in the reproduction:
 
@@ -6,6 +6,24 @@ The interpreter serves two roles in the reproduction:
   original imperative code computes (paper Theorem 1); tests run both.
 * *performance experiments* — Experiments 5–8 execute original and rewritten
   programs against the simulated connection and compare time/transfer.
+
+The first call of a :class:`FunctionDef` compiles it into nested Python
+closures of shape ``env -> value``.  Whatever the AST fixes is decided
+then, once: node kind, operator, builtin and method name, argument count,
+bean-getter/setter column, ``new`` class, and whether a receiver name may
+be a static class (``Math``, ``Integer``, …).  At run time a closure does
+only what depends on values: the ``env`` lookup, the receiver-type
+dispatch (:mod:`repro.interp.methods`) and the static-receiver ``not in
+env`` test.  The compiled functions are cached on the interpreter, never
+globally, because AST nodes are mutable and the rewriter edits trees in
+place.
+
+Every executed statement and every evaluated expression counts one step,
+and a ``while`` one more per iteration; the step past ``max_steps`` raises
+:class:`InterpreterError`.  A construct that cannot be evaluated — an
+unknown class, method or operator, a wrong argument count — raises its
+:class:`InterpreterError` when it is reached, never at compile time.  Calls
+nest at most :data:`MAX_CALL_DEPTH` deep.
 
 ``executeQuery("...")`` strings may contain named parameters (``:x``) that
 are bound from the program environment at call time, mirroring how the
@@ -16,7 +34,8 @@ so the N+1 texts a loop concatenates share one tree and one cached plan.
 
 from __future__ import annotations
 
-from typing import Any
+import operator
+from typing import Any, Callable
 
 from ..db import Connection
 from ..lang import (
@@ -49,36 +68,148 @@ from ..lang import (
     While,
 )
 from ..sqlparse import parse_template
-from .values import (
-    Entity,
-    ResultCursor,
-    StringBuilder,
-    getter_to_column,
-    setter_to_column,
-    to_display,
-)
+from .methods import Handler, arity_fault, fault, method_handler
+from .values import Entity, InterpreterError, ResultCursor, StringBuilder, to_display
+
+#: Deepest nesting of MiniJava calls; one more raises InterpreterError.
+MAX_CALL_DEPTH = 100
+
+Env = dict[str, Any]
+#: A compiled expression (returns its value) or statement (returns ``None``
+#: to fall through, else a control signal: ``_BREAK``, ``_CONTINUE`` or a
+#: ``_Return``).
+Closure = Callable[[Env], Any]
+
+_STEP_LIMIT = "step limit exceeded (possible infinite loop)"
 
 
-class InterpreterError(Exception):
-    """Raised on runtime failures in interpreted programs."""
+class _Return:
+    __slots__ = ("value",)
 
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
     def __init__(self, value: Any):
         self.value = value
 
 
-_COLLECTION_CLASSES = {"ArrayList", "LinkedList", "List", "Vector"}
-_SET_CLASSES = {"HashSet", "TreeSet", "Set", "LinkedHashSet"}
-_MAP_CLASSES = {"HashMap", "TreeMap", "Map", "LinkedHashMap"}
+_BREAK = object()
+_CONTINUE = object()
+_RETURN_NONE = _Return(None)
+
+
+def _skip(env: Env) -> None:
+    return None
+
+
+def _non_boolean(value: Any) -> InterpreterError:
+    return InterpreterError(f"condition evaluated to non-boolean {value!r}")
+
+
+def _truthy(value: Any) -> bool:
+    if value is True or value is False:
+        return value
+    if value is None:
+        return False
+    raise _non_boolean(value)
+
+
+def _plus(left: Any, right: Any) -> Any:
+    if isinstance(left, str) or isinstance(right, str):
+        return to_display(left) + to_display(right)
+    return left + right
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if isinstance(left, int) and isinstance(right, int):
+        return left // right  # Java integer division
+    return left / right
+
+
+_BINARY = {
+    "+": _plus,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": operator.mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+_UNARY = {"-": operator.neg, "!": operator.not_}
+
+
+def _scalar(rows: list[dict]) -> Any:
+    if not rows:
+        return None
+    plain = [v for k, v in rows[0].items() if "." not in k]
+    return plain[0] if plain else None
+
+
+#: One-argument query builtins → what they make of the result rows.
+_QUERIES: dict[str, Callable[[list[dict]], Any]] = {
+    "executeQuery": lambda rows: [Entity(row) for row in rows],
+    "executeQueryCursor": ResultCursor,
+    "executeScalar": _scalar,
+    "executeExists": bool,
+}
+
+
+def _sort(values: Any) -> None:
+    values.sort()
+
+
+#: Library calls on a class name that is not a variable: (class, method) →
+#: (accepted argument counts, implementation).
+_STATIC: dict[tuple[str, str], tuple[tuple[int, ...], Handler]] = {
+    ("Math", "max"): ((2,), max),
+    ("Math", "min"): ((2,), min),
+    ("Math", "abs"): ((1,), abs),
+    ("Integer", "parseInt"): ((1,), int),
+    ("Double", "parseDouble"): ((1,), float),
+    ("String", "valueOf"): ((1,), to_display),
+    ("Collections", "sort"): ((1,), _sort),
+    ("Collections", "max"): ((1,), max),
+    ("Collections", "min"): ((1,), min),
+}
+#: Classes whose every method is static (an unknown one is an error).
+_STATIC_CLASSES = {"Math", "Collections"}
+
+
+def _iterable(value: Any) -> Any:
+    if isinstance(value, (ResultCursor, list, tuple, set)):
+        return value
+    raise InterpreterError(f"value of type {type(value).__name__} is not iterable")
+
+
+def _new_list(*args: Any) -> list:
+    return list(args[0]) if args else []
+
+
+def _new_set(*args: Any) -> set:
+    return set(args[0]) if args else set()
+
+
+def _new_map(*args: Any) -> dict:
+    return {}
+
+
+def _new_builder(*args: Any) -> StringBuilder:
+    return StringBuilder(args[0] if args else "")
+
+
+def _new_tuple(*args: Any) -> tuple:
+    return args
+
+
+_NEW = {
+    **dict.fromkeys(("ArrayList", "LinkedList", "List", "Vector"), _new_list),
+    **dict.fromkeys(("HashSet", "TreeSet", "Set", "LinkedHashSet"), _new_set),
+    **dict.fromkeys(("HashMap", "TreeMap", "Map", "LinkedHashMap"), _new_map),
+    "StringBuilder": _new_builder,
+    "Pair": _new_tuple,
+    "Tuple": _new_tuple,
+}
 
 
 class Interpreter:
@@ -88,252 +219,56 @@ class Interpreter:
         self._program = program
         self._connection = connection
         self._max_steps = max_steps
-        self._steps = 0
+        #: Steps taken so far, in a cell every compiled closure shares.
+        self._steps = [0]
+        self._depth = 0
+        #: Function name → (definition, compiled body).
+        self._functions: dict[str, tuple[FunctionDef, Closure]] = {}
         self.output: list[str] = []
         #: Final value of the ``__out__`` collection of the last-run
         #: function (set by print-preprocessing; used by equivalence tests).
         self.last_out: Any = None
+
+    @property
+    def steps(self) -> int:
+        """Statements and expressions executed so far (see module docstring)."""
+        return self._steps[0]
 
     # ------------------------------------------------------------------
     # Entry points
 
     def run(self, function_name: str, *args: Any) -> Any:
         """Run a named function with positional arguments; return its value."""
-        func = self._program.function(function_name)
-        return self._call_function(func, list(args))
+        return self._call_function(self._function(function_name), list(args))
 
-    def _call_function(self, func: FunctionDef, args: list[Any]) -> Any:
+    def _function(self, name: str) -> tuple[FunctionDef, Closure]:
+        """The compiled function ``name``; ``KeyError`` if there is none."""
+        compiled = self._functions.get(name)
+        if compiled is None:
+            func = self._program.function(name)
+            compiled = self._functions[name] = (func, self._block(func.body))
+        return compiled
+
+    def _call_function(self, compiled: tuple[FunctionDef, Closure], args: list[Any]) -> Any:
+        func, body = compiled
         if len(args) != len(func.params):
             raise InterpreterError(
                 f"{func.name} expects {len(func.params)} args, got {len(args)}"
             )
+        if self._depth >= MAX_CALL_DEPTH:
+            raise InterpreterError("call depth limit exceeded")
         env = dict(zip(func.params, args))
+        self._depth += 1
         try:
-            self._exec_block(func.body, env)
-        except _ReturnSignal as signal:
-            self.last_out = env.get("__out__", self.last_out)
-            return signal.value
+            signal = body(env)
+        finally:
+            self._depth -= 1
+        if signal is _BREAK or signal is _CONTINUE:
+            raise InterpreterError("break or continue outside a loop")
         self.last_out = env.get("__out__", self.last_out)
-        return None
+        return None if signal is None else signal.value
 
-    # ------------------------------------------------------------------
-    # Statements
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise InterpreterError("step limit exceeded (possible infinite loop)")
-
-    def _exec_block(self, block: Block, env: dict[str, Any]) -> None:
-        for stmt in block.statements:
-            self._exec_stmt(stmt, env)
-
-    def _exec_stmt(self, stmt: Stmt, env: dict[str, Any]) -> None:
-        self._tick()
-        if isinstance(stmt, Assign):
-            env[stmt.target] = self._eval(stmt.value, env)
-            return
-        if isinstance(stmt, ExprStmt):
-            self._eval(stmt.expr, env)
-            return
-        if isinstance(stmt, Block):
-            self._exec_block(stmt, env)
-            return
-        if isinstance(stmt, If):
-            if self._truthy(self._eval(stmt.cond, env)):
-                self._exec_block(stmt.then_body, env)
-            elif stmt.else_body is not None:
-                self._exec_block(stmt.else_body, env)
-            return
-        if isinstance(stmt, ForEach):
-            iterable = self._eval(stmt.iterable, env)
-            for item in self._iterate(iterable):
-                env[stmt.var] = item
-                try:
-                    self._exec_block(stmt.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            return
-        if isinstance(stmt, While):
-            while self._truthy(self._eval(stmt.cond, env)):
-                self._tick()
-                try:
-                    self._exec_block(stmt.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            return
-        if isinstance(stmt, Return):
-            value = None if stmt.value is None else self._eval(stmt.value, env)
-            raise _ReturnSignal(value)
-        if isinstance(stmt, Break):
-            raise _BreakSignal()
-        if isinstance(stmt, Continue):
-            raise _ContinueSignal()
-        if isinstance(stmt, TryCatch):
-            try:
-                self._exec_block(stmt.try_body, env)
-            except InterpreterError:
-                if stmt.catch_body is not None:
-                    self._exec_block(stmt.catch_body, env)
-                else:
-                    raise
-            finally:
-                if stmt.finally_body is not None:
-                    self._exec_block(stmt.finally_body, env)
-            return
-        raise InterpreterError(f"cannot execute {type(stmt).__name__}")
-
-    @staticmethod
-    def _iterate(value: Any):
-        if isinstance(value, ResultCursor):
-            return iter(value)
-        if isinstance(value, (list, tuple, set)):
-            return iter(value)
-        raise InterpreterError(f"value of type {type(value).__name__} is not iterable")
-
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        if value is None:
-            return False
-        if isinstance(value, bool):
-            return value
-        raise InterpreterError(f"condition evaluated to non-boolean {value!r}")
-
-    # ------------------------------------------------------------------
-    # Expressions
-
-    def _eval(self, expr: Expr, env: dict[str, Any]) -> Any:
-        self._tick()
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, FloatLit):
-            return expr.value
-        if isinstance(expr, StringLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, NullLit):
-            return None
-        if isinstance(expr, Name):
-            if expr.ident not in env:
-                raise InterpreterError(f"unbound variable {expr.ident!r}")
-            return env[expr.ident]
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr, env)
-        if isinstance(expr, Unary):
-            operand = self._eval(expr.operand, env)
-            if expr.op == "-":
-                return -operand
-            if expr.op == "!":
-                return not operand
-            raise InterpreterError(f"unknown unary operator {expr.op!r}")
-        if isinstance(expr, Ternary):
-            if self._truthy(self._eval(expr.cond, env)):
-                return self._eval(expr.if_true, env)
-            return self._eval(expr.if_false, env)
-        if isinstance(expr, Call):
-            return self._eval_call(expr, env)
-        if isinstance(expr, MethodCall):
-            return self._eval_method(expr, env)
-        if isinstance(expr, FieldAccess):
-            receiver = self._eval(expr.receiver, env)
-            if isinstance(receiver, Entity):
-                return receiver.get(expr.field)
-            raise InterpreterError(
-                f"cannot access field {expr.field!r} on {type(receiver).__name__}"
-            )
-        if isinstance(expr, New):
-            return self._eval_new(expr, env)
-        raise InterpreterError(f"cannot evaluate {type(expr).__name__}")
-
-    def _eval_binary(self, expr: Binary, env: dict[str, Any]) -> Any:
-        if expr.op == "&&":
-            return self._truthy(self._eval(expr.left, env)) and self._truthy(
-                self._eval(expr.right, env)
-            )
-        if expr.op == "||":
-            return self._truthy(self._eval(expr.left, env)) or self._truthy(
-                self._eval(expr.right, env)
-            )
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        op = expr.op
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                return to_display(left) + to_display(right)
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right  # Java integer division
-            return left / right
-        if op == "%":
-            return left % right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        raise InterpreterError(f"unknown binary operator {op!r}")
-
-    def _eval_call(self, expr: Call, env: dict[str, Any]) -> Any:
-        if expr.func in ("executeQuery", "executeQueryCursor"):
-            if len(expr.args) != 1:
-                raise InterpreterError("executeQuery takes exactly one argument")
-            text = self._eval(expr.args[0], env)
-            rows = self._run_query(text, env)
-            if expr.func == "executeQueryCursor":
-                return ResultCursor(rows)
-            return [Entity(row) for row in rows]
-        if expr.func == "executeScalar":
-            text = self._eval(expr.args[0], env)
-            rows = self._run_query(text, env)
-            if not rows:
-                return None
-            first = rows[0]
-            plain = [v for k, v in first.items() if "." not in k]
-            return plain[0] if plain else None
-        if expr.func == "executeExists":
-            text = self._eval(expr.args[0], env)
-            return bool(self._run_query(text, env))
-        if expr.func == "registerTempTable":
-            name = self._eval(expr.args[0], env)
-            collection = self._eval(expr.args[1], env)
-            rows = []
-            for element in collection:
-                if isinstance(element, Entity):
-                    rows.append({k: v for k, v in element.row.items() if "." not in k})
-                else:
-                    rows.append({"val": element})
-            self._connection.ship_temp_table(name, rows)
-            return None
-        if expr.func in ("print", "println"):
-            rendered = "".join(to_display(self._eval(a, env)) for a in expr.args)
-            self.output.append(rendered)
-            return None
-        # User-defined function.
-        try:
-            func = self._program.function(expr.func)
-        except KeyError:
-            raise InterpreterError(f"unknown function {expr.func!r}") from None
-        args = [self._eval(a, env) for a in expr.args]
-        return self._call_function(func, args)
-
-    def _run_query(self, text: str, env: dict[str, Any]) -> list[dict]:
+    def _run_query(self, text: Any, env: Env) -> list[dict]:
         if not isinstance(text, str):
             raise InterpreterError("executeQuery argument must be a string")
         query, params, free = parse_template(
@@ -345,225 +280,453 @@ class Interpreter:
             params[name] = env[name]
         return self._connection.execute_query(query, params)
 
-    def _eval_method(self, expr: MethodCall, env: dict[str, Any]) -> Any:
-        # Static library receivers (Math.max etc.) must not be evaluated as
-        # variables.
-        if isinstance(expr.receiver, Name) and expr.receiver.ident not in env:
-            static = self._eval_static_method(expr, env)
-            if static is not _NO_STATIC:
-                return static
+    def _print(self, *values: Any) -> None:
+        self.output.append("".join([to_display(v) for v in values]))
+
+    def _register_temp_table(self, name: Any, collection: Any) -> None:
+        rows = []
+        for element in collection:
+            if isinstance(element, Entity):
+                rows.append({k: v for k, v in element.row.items() if "." not in k})
+            else:
+                rows.append({"val": element})
+        self._connection.ship_temp_table(name, rows)
+
+    # ------------------------------------------------------------------
+    # Compilation.  Every closure below counts its own step first.
+
+    def _apply(self, fn: Handler, args: list[Closure]) -> Closure:
+        """A node that evaluates ``args`` left to right into ``fn(*values)``."""
+        steps, limit = self._steps, self._max_steps
+        if len(args) == 1:
+            [only] = args
+
+            def apply1(env: Env) -> Any:
+                steps[0] += 1
+                if steps[0] > limit:
+                    raise InterpreterError(_STEP_LIMIT)
+                return fn(only(env))
+
+            return apply1
+        if len(args) == 2:
+            first, second = args
+
+            def apply2(env: Env) -> Any:
+                steps[0] += 1
+                if steps[0] > limit:
+                    raise InterpreterError(_STEP_LIMIT)
+                return fn(first(env), second(env))
+
+            return apply2
+
+        def apply(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            return fn(*[arg(env) for arg in args])
+
+        return apply
+
+    def _block(self, block: Block) -> Closure:
+        """A statement list (no step of its own: the caller counts it)."""
+        stmts = tuple(self._stmt(stmt) for stmt in block.statements)
+        if not stmts:
+            return _skip
+        if len(stmts) == 1:
+            return stmts[0]
+
+        def run_block(env: Env) -> Any:
+            for stmt in stmts:
+                signal = stmt(env)
+                if signal is not None:
+                    return signal
+            return None
+
+        return run_block
+
+    def _stmt(self, stmt: Stmt) -> Closure:
+        compile_stmt = _STMT_COMPILERS.get(type(stmt))
+        if compile_stmt is None:
+            return self._apply(fault(f"cannot execute {type(stmt).__name__}"), [])
+        return compile_stmt(self, stmt)
+
+    def _expr(self, expr: Expr) -> Closure:
+        compile_expr = _EXPR_COMPILERS.get(type(expr))
+        if compile_expr is None:
+            return self._apply(fault(f"cannot evaluate {type(expr).__name__}"), [])
+        return compile_expr(self, expr)
+
+    # -- statements ----------------------------------------------------
+
+    def _assign(self, stmt: Assign) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        target, value = stmt.target, self._expr(stmt.value)
+
+        def assign(env: Env) -> None:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            env[target] = value(env)
+
+        return assign
+
+    def _expr_stmt(self, stmt: ExprStmt) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        expr = self._expr(stmt.expr)
+
+        def expr_stmt(env: Env) -> None:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            expr(env)
+
+        return expr_stmt
+
+    def _nested_block(self, stmt: Block) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        body = self._block(stmt)
+
+        def nested_block(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            return body(env)
+
+        return nested_block
+
+    def _if(self, stmt: If) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        cond, then_body = self._expr(stmt.cond), self._block(stmt.then_body)
+        else_body = _skip if stmt.else_body is None else self._block(stmt.else_body)
+
+        def if_(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            value = cond(env)
+            if value is True:
+                return then_body(env)
+            if value is False or value is None:
+                return else_body(env)
+            raise _non_boolean(value)
+
+        return if_
+
+    def _for_each(self, stmt: ForEach) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        var, iterable, body = stmt.var, self._expr(stmt.iterable), self._block(stmt.body)
+
+        def for_each(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            for item in _iterable(iterable(env)):
+                env[var] = item
+                signal = body(env)
+                if signal is not None:
+                    if signal is _BREAK:
+                        break
+                    if signal is not _CONTINUE:
+                        return signal
+            return None
+
+        return for_each
+
+    def _while(self, stmt: While) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        cond, body = self._expr(stmt.cond), self._block(stmt.body)
+
+        def while_(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            while _truthy(cond(env)):
+                steps[0] += 1
+                if steps[0] > limit:
+                    raise InterpreterError(_STEP_LIMIT)
+                signal = body(env)
+                if signal is not None:
+                    if signal is _BREAK:
+                        break
+                    if signal is not _CONTINUE:
+                        return signal
+            return None
+
+        return while_
+
+    def _return(self, stmt: Return) -> Closure:
+        if stmt.value is None:
+            return self._apply(lambda: _RETURN_NONE, [])
+        return self._apply(_Return, [self._expr(stmt.value)])
+
+    def _break(self, stmt: Break) -> Closure:
+        return self._apply(lambda: _BREAK, [])
+
+    def _continue(self, stmt: Continue) -> Closure:
+        return self._apply(lambda: _CONTINUE, [])
+
+    def _try_catch(self, stmt: TryCatch) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        try_body = self._block(stmt.try_body)
+        catch_body = None if stmt.catch_body is None else self._block(stmt.catch_body)
+        finally_body = _skip if stmt.finally_body is None else self._block(stmt.finally_body)
+
+        def try_catch(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            try:
+                try:
+                    signal = try_body(env)
+                except InterpreterError:
+                    if catch_body is None:
+                        raise
+                    signal = catch_body(env)
+            except Exception:
+                # A break/continue/return in ``finally`` replaces the
+                # exception, as it replaces any pending signal below.
+                override = finally_body(env)
+                if override is not None:
+                    return override
+                raise
+            override = finally_body(env)
+            return signal if override is None else override
+
+        return try_catch
+
+    # -- expressions ---------------------------------------------------
+
+    def _literal(self, expr: IntLit | FloatLit | StringLit | BoolLit | NullLit) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        value = getattr(expr, "value", None)
+
+        def literal(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            return value
+
+        return literal
+
+    def _name(self, expr: Name) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        ident = expr.ident
+
+        def name(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            try:
+                return env[ident]
+            except KeyError:
+                raise InterpreterError(f"unbound variable {ident!r}") from None
+
+        return name
+
+    def _binary(self, expr: Binary) -> Closure:
+        left, right = self._expr(expr.left), self._expr(expr.right)
+        if expr.op not in ("&&", "||"):
+            fn = _BINARY.get(expr.op) or fault(f"unknown binary operator {expr.op!r}")
+            return self._apply(fn, [left, right])
+        steps, limit = self._steps, self._max_steps
+        short_circuit = expr.op == "||"
+
+        def logical(env: Env) -> bool:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            if _truthy(left(env)) is short_circuit:
+                return short_circuit
+            return _truthy(right(env))
+
+        return logical
+
+    def _unary(self, expr: Unary) -> Closure:
+        fn = _UNARY.get(expr.op) or fault(f"unknown unary operator {expr.op!r}")
+        return self._apply(fn, [self._expr(expr.operand)])
+
+    def _ternary(self, expr: Ternary) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        cond = self._expr(expr.cond)
+        if_true, if_false = self._expr(expr.if_true), self._expr(expr.if_false)
+
+        def ternary(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            return if_true(env) if _truthy(cond(env)) else if_false(env)
+
+        return ternary
+
+    def _call(self, expr: Call) -> Closure:
+        args = [self._expr(arg) for arg in expr.args]
+        name = expr.func
+        if name in _QUERIES:
+            if len(args) != 1:
+                return self._apply(arity_fault(name, (1,), len(args)), [])
+            return self._query(_QUERIES[name], args[0])
+        if name == "registerTempTable":
+            if len(args) != 2:
+                return self._apply(arity_fault(name, (2,), len(args)), [])
+            return self._apply(self._register_temp_table, args)
+        if name in ("print", "println"):
+            return self._apply(self._print, args)
+        return self._user_call(name, args)
+
+    def _query(self, finish: Callable[[list[dict]], Any], text: Closure) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        run_query = self._run_query
+
+        def query(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            return finish(run_query(text(env), env))
+
+        return query
+
+    def _user_call(self, name: str, args: list[Closure]) -> Closure:
+        steps, limit = self._steps, self._max_steps
+        resolve, call_function = self._function, self._call_function
+
+        def user_call(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            try:
+                compiled = resolve(name)
+            except KeyError:
+                raise InterpreterError(f"unknown function {name!r}") from None
+            return call_function(compiled, [arg(env) for arg in args])
+
+        return user_call
+
+    def _method_call(self, expr: MethodCall) -> Closure:
+        receiver, method = expr.receiver, expr.method
+        args = [self._expr(arg) for arg in expr.args]
         if (
-            isinstance(expr.receiver, FieldAccess)
-            and isinstance(expr.receiver.receiver, Name)
-            and expr.receiver.receiver.ident == "System"
+            isinstance(receiver, FieldAccess)
+            and isinstance(receiver.receiver, Name)
+            and receiver.receiver.ident == "System"
         ):
-            # System.out.println(...)
-            rendered = "".join(to_display(self._eval(a, env)) for a in expr.args)
-            self.output.append(rendered)
-            return None
-        receiver = self._eval(expr.receiver, env)
-        args = [self._eval(a, env) for a in expr.args]
-        return self._dispatch_method(receiver, expr.method, args)
+            return self._apply(self._print, args)  # System.out.println(...)
+        dynamic = self._dispatch(self._expr(receiver), method, args)
+        if not isinstance(receiver, Name):
+            return dynamic
+        cls = receiver.ident
+        entry = _STATIC.get((cls, method))
+        if entry is not None:
+            counts, fn = entry
+            if len(args) not in counts:
+                fn = arity_fault(f"{cls}.{method}", counts, len(args))
+        elif cls in _STATIC_CLASSES:
+            fn = fault(f"unknown {cls} method {method!r}")
+        else:
+            return dynamic
+        static = self._apply(fn, args)
 
-    def _eval_static_method(self, expr: MethodCall, env: dict[str, Any]) -> Any:
-        assert isinstance(expr.receiver, Name)
-        class_name = expr.receiver.ident
-        method = expr.method
-        if class_name == "Math":
-            args = [self._eval(a, env) for a in expr.args]
-            if method == "max":
-                return max(args)
-            if method == "min":
-                return min(args)
-            if method == "abs":
-                return abs(args[0])
-            raise InterpreterError(f"unknown Math method {method!r}")
-        if class_name == "Integer" and method == "parseInt":
-            return int(self._eval(expr.args[0], env))
-        if class_name == "Double" and method == "parseDouble":
-            return float(self._eval(expr.args[0], env))
-        if class_name == "String" and method == "valueOf":
-            return to_display(self._eval(expr.args[0], env))
-        if class_name == "Collections":
-            args = [self._eval(a, env) for a in expr.args]
-            if method == "sort":
-                args[0].sort()
-                return None
-            if method == "max":
-                return max(args[0])
-            if method == "min":
-                return min(args[0])
-        return _NO_STATIC
+        def static_unless_shadowed(env: Env) -> Any:
+            return dynamic(env) if cls in env else static(env)
 
-    def _dispatch_method(self, receiver: Any, method: str, args: list[Any]) -> Any:
-        if isinstance(receiver, (ResultCursor,)):
-            if method == "next":
-                return receiver.next()
-            # Delegate JDBC getters to the current row.
-            return self._dispatch_method(receiver.current, method, args)
-        if isinstance(receiver, Entity):
-            if method in ("getString", "getInt", "getDouble", "getLong", "getBoolean", "getObject"):
-                value = receiver.get(args[0])
-                if method == "getInt" and value is not None:
-                    return int(value)
-                if method == "getDouble" and value is not None:
-                    return float(value)
-                return value
-            column = getter_to_column(method)
-            if column is not None and not args:
-                return receiver.get(column)
-            column = setter_to_column(method)
-            if column is not None and len(args) == 1:
-                receiver.row[column] = args[0]
-                return None
-            raise InterpreterError(f"unknown entity method {method!r}")
-        if isinstance(receiver, list):
-            return self._list_method(receiver, method, args)
-        if isinstance(receiver, set):
-            return self._set_method(receiver, method, args)
-        if isinstance(receiver, dict):
-            return self._map_method(receiver, method, args)
-        if isinstance(receiver, str):
-            return self._string_method(receiver, method, args)
-        if isinstance(receiver, StringBuilder):
-            if method == "append":
-                return receiver.append(args[0])
-            if method == "toString":
-                return receiver.to_string()
-            raise InterpreterError(f"unknown StringBuilder method {method!r}")
-        if isinstance(receiver, tuple):
-            if method in ("getFirst", "getKey", "getCol0"):
-                return receiver[0]
-            if method in ("getSecond", "getValue", "getCol1"):
-                return receiver[1]
-            if method == "get":
-                return receiver[args[0]]
-        if isinstance(receiver, (int, float)):
-            if method in ("intValue", "doubleValue", "longValue"):
-                return receiver
-            if method == "compareTo":
-                return (receiver > args[0]) - (receiver < args[0])
-            if method == "equals":
-                return receiver == args[0]
-        if receiver is None:
-            raise InterpreterError(f"null pointer: cannot call {method!r} on null")
-        raise InterpreterError(
-            f"cannot call {method!r} on {type(receiver).__name__}"
-        )
+        return static_unless_shadowed
 
-    @staticmethod
-    def _list_method(receiver: list, method: str, args: list[Any]) -> Any:
-        if method in ("add", "append"):
-            receiver.append(args[0])
-            return True
-        if method == "addAll":
-            receiver.extend(args[0])
-            return True
-        if method == "get":
-            return receiver[args[0]]
-        if method == "size":
-            return len(receiver)
-        if method == "isEmpty":
-            return not receiver
-        if method == "contains":
-            return args[0] in receiver
-        if method == "remove":
-            receiver.remove(args[0])
-            return True
-        if method == "clear":
-            receiver.clear()
-            return None
-        if method == "iterator":
-            return list(receiver)
-        raise InterpreterError(f"unknown list method {method!r}")
+    def _dispatch(self, receiver: Closure, method: str, args: list[Closure]) -> Closure:
+        """``receiver.method(args)``, dispatched on the receiver's type."""
+        steps, limit = self._steps, self._max_steps
+        n = len(args)
+        #: Receiver type → handler, filled as this call site meets types.
+        handlers: dict[type, Handler] = {}
 
-    @staticmethod
-    def _set_method(receiver: set, method: str, args: list[Any]) -> Any:
-        if method in ("add", "insert"):
-            added = args[0] not in receiver
-            receiver.add(args[0])
-            return added
-        if method == "addAll":
-            receiver.update(args[0])
-            return True
-        if method == "size":
-            return len(receiver)
-        if method == "isEmpty":
-            return not receiver
-        if method == "contains":
-            return args[0] in receiver
-        if method == "remove":
-            receiver.discard(args[0])
-            return True
-        raise InterpreterError(f"unknown set method {method!r}")
+        def handler_for(value: Any) -> Handler:
+            cls = type(value)
+            handler = handlers[cls] = method_handler(cls, method, n)
+            return handler
 
-    @staticmethod
-    def _map_method(receiver: dict, method: str, args: list[Any]) -> Any:
-        if method == "put":
-            receiver[args[0]] = args[1]
-            return None
-        if method == "get":
-            return receiver.get(args[0])
-        if method == "containsKey":
-            return args[0] in receiver
-        if method == "size":
-            return len(receiver)
-        if method == "isEmpty":
-            return not receiver
-        if method == "keySet":
-            return set(receiver.keys())
-        if method == "values":
-            return list(receiver.values())
-        raise InterpreterError(f"unknown map method {method!r}")
+        if n == 0:
 
-    @staticmethod
-    def _string_method(receiver: str, method: str, args: list[Any]) -> Any:
-        if method == "length":
-            return len(receiver)
-        if method == "toUpperCase":
-            return receiver.upper()
-        if method == "toLowerCase":
-            return receiver.lower()
-        if method == "trim":
-            return receiver.strip()
-        if method == "equals":
-            return receiver == args[0]
-        if method == "equalsIgnoreCase":
-            return receiver.lower() == str(args[0]).lower()
-        if method == "contains":
-            return args[0] in receiver
-        if method == "startsWith":
-            return receiver.startswith(args[0])
-        if method == "endsWith":
-            return receiver.endswith(args[0])
-        if method == "substring":
-            if len(args) == 2:
-                return receiver[args[0] : args[1]]
-            return receiver[args[0] :]
-        if method == "indexOf":
-            return receiver.find(args[0])
-        if method == "concat":
-            return receiver + args[0]
-        if method == "isEmpty":
-            return not receiver
-        raise InterpreterError(f"unknown string method {method!r}")
+            def call0(env: Env) -> Any:
+                steps[0] += 1
+                if steps[0] > limit:
+                    raise InterpreterError(_STEP_LIMIT)
+                value = receiver(env)
+                try:
+                    handler = handlers[type(value)]
+                except KeyError:
+                    handler = handler_for(value)
+                return handler(value)
 
-    def _eval_new(self, expr: New, env: dict[str, Any]) -> Any:
-        args = [self._eval(a, env) for a in expr.args]
-        if expr.class_name in _COLLECTION_CLASSES:
-            return list(args[0]) if args else []
-        if expr.class_name in _SET_CLASSES:
-            return set(args[0]) if args else set()
-        if expr.class_name in _MAP_CLASSES:
-            return {}
-        if expr.class_name == "StringBuilder":
-            return StringBuilder(args[0] if args else "")
-        if expr.class_name in ("Pair", "Tuple"):
-            return tuple(args)
-        raise InterpreterError(f"unknown class {expr.class_name!r}")
+            return call0
+        if n == 1:
+            [only] = args
+
+            def call1(env: Env) -> Any:
+                steps[0] += 1
+                if steps[0] > limit:
+                    raise InterpreterError(_STEP_LIMIT)
+                value = receiver(env)
+                arg = only(env)
+                try:
+                    handler = handlers[type(value)]
+                except KeyError:
+                    handler = handler_for(value)
+                return handler(value, arg)
+
+            return call1
+
+        def call(env: Env) -> Any:
+            steps[0] += 1
+            if steps[0] > limit:
+                raise InterpreterError(_STEP_LIMIT)
+            value = receiver(env)
+            values = [arg(env) for arg in args]
+            try:
+                handler = handlers[type(value)]
+            except KeyError:
+                handler = handler_for(value)
+            return handler(value, *values)
+
+        return call
+
+    def _field_access(self, expr: FieldAccess) -> Closure:
+        field = expr.field
+
+        def read_field(receiver: Any) -> Any:
+            if isinstance(receiver, Entity):
+                return receiver.get(field)
+            raise InterpreterError(
+                f"cannot access field {field!r} on {type(receiver).__name__}"
+            )
+
+        return self._apply(read_field, [self._expr(expr.receiver)])
+
+    def _new(self, expr: New) -> Closure:
+        make = _NEW.get(expr.class_name) or fault(f"unknown class {expr.class_name!r}")
+        return self._apply(make, [self._expr(arg) for arg in expr.args])
 
 
-_NO_STATIC = object()
+_STMT_COMPILERS: dict[type, Callable[[Interpreter, Any], Closure]] = {
+    Assign: Interpreter._assign,
+    ExprStmt: Interpreter._expr_stmt,
+    Block: Interpreter._nested_block,
+    If: Interpreter._if,
+    ForEach: Interpreter._for_each,
+    While: Interpreter._while,
+    Return: Interpreter._return,
+    Break: Interpreter._break,
+    Continue: Interpreter._continue,
+    TryCatch: Interpreter._try_catch,
+}
+_EXPR_COMPILERS: dict[type, Callable[[Interpreter, Any], Closure]] = {
+    **dict.fromkeys((IntLit, FloatLit, StringLit, BoolLit, NullLit), Interpreter._literal),
+    Name: Interpreter._name,
+    Binary: Interpreter._binary,
+    Unary: Interpreter._unary,
+    Ternary: Interpreter._ternary,
+    Call: Interpreter._call,
+    MethodCall: Interpreter._method_call,
+    FieldAccess: Interpreter._field_access,
+    New: Interpreter._new,
+}
 
 
 def run_program(

@@ -12,6 +12,10 @@ from typing import Any
 from ..db.types import Row
 
 
+class InterpreterError(Exception):
+    """Raised on runtime failures in interpreted programs."""
+
+
 class Entity:
     """One result row with bean-style and JDBC-style accessors."""
 
@@ -86,7 +90,7 @@ class ResultCursor:
     @property
     def current(self) -> Entity:
         if not 0 <= self._index < len(self._rows):
-            raise RuntimeError("cursor is not positioned on a row")
+            raise InterpreterError("cursor is not positioned on a row")
         return Entity(self._rows[self._index])
 
     def __iter__(self):

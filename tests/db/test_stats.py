@@ -93,6 +93,13 @@ class TestTableStats:
         assert len(hist.counts) == HISTOGRAM_BUCKETS
         assert sum(hist.counts) == hist.total == 200
 
+    def test_subnormal_span_histogram(self):
+        # 16 / span overflows to inf when the span is subnormal.
+        tiny = 2.2250738585e-313
+        stats = repro.db.stats.build_table_stats("t", {"a": [0, tiny, -tiny]})
+        hist = stats.column("a").histogram
+        assert (hist.counts[0], hist.counts[8], hist.counts[-1]) == (1, 1, 1)
+
     def test_string_column_has_no_histogram(self):
         assert _make_db(50).stats("t").column("label").histogram is None
 

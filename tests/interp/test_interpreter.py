@@ -4,6 +4,7 @@ import pytest
 
 from repro.db import Connection
 from repro.interp import Interpreter, InterpreterError, run_program
+from repro.interp.interpreter import MAX_CALL_DEPTH
 from repro.lang import parse_program
 
 
@@ -103,6 +104,136 @@ class TestControlFlow:
         )
         with pytest.raises(InterpreterError):
             interp.run("main")
+
+    def test_try_catch_finally(self, database):
+        source = """
+        main(mode) {
+            try {
+                print("try");
+                if (mode == 1) { return nope; }
+                if (mode == 2) { return 2; }
+            } catch (Exception e) {
+                print("catch");
+            } finally {
+                print("finally");
+                if (mode == 3) { return 3; }
+            }
+            return 0;
+        }
+        """
+        for mode, result, output in [
+            (0, 0, ["try", "finally"]),
+            (1, 0, ["try", "catch", "finally"]),
+            (2, 2, ["try", "finally"]),
+            (3, 3, ["try", "finally"]),
+        ]:
+            value, interp, _ = run(source, database, "main", (mode,))
+            assert (value, interp.output) == (result, output)
+        # Without a catch the error propagates after ``finally`` ran, unless
+        # ``finally`` returns.
+        source = "main(r) { try { x = nope; } finally { print(1); if (r) { return 5; } } }"
+        assert run(source, database, "main", (True,))[0] == 5
+        interp = Interpreter(parse_program(source), Connection(database))
+        with pytest.raises(InterpreterError, match="unbound variable 'nope'"):
+            interp.run("main", False)
+        assert interp.output == ["1"]
+
+    FOR_EACH = """
+    main() {
+        xs = new ArrayList();
+        xs.add(1); xs.add(2); xs.add(3);
+        for (x : xs) { print(x); }
+    }
+    """
+
+    def test_step_accounting(self, database):
+        # One step per statement and per expression: 2 for the assignment,
+        # 4 per add, 2 for the loop head, 3 per print (statement, call, x).
+        _, interp, _ = run(self.FOR_EACH, database)
+        assert interp.steps == 2 + 3 * 4 + 2 + 3 * 3
+        # A while counts one more step per iteration: 2 + 1 + 2 * (3 + 1 + 4) + 3.
+        source = "main() { i = 0; while (i < 2) { i = i + 1; } }"
+        assert run(source, database)[1].steps == 22
+
+    def test_step_limit_fires_inside_for_each_body(self, database):
+        # Step 20 is the second print statement.
+        interp = Interpreter(
+            parse_program(self.FOR_EACH), Connection(database), max_steps=19
+        )
+        with pytest.raises(InterpreterError, match="step limit"):
+            interp.run("main")
+        assert interp.output == ["1"]
+        assert interp.steps == 20
+
+    def test_step_limit_fires_inside_nested_expression(self, database):
+        source = 'main() { print("a"); return 1 + (2 * (3 - nope)); }'
+        # print: 3 steps; return, +, 1, *, 2, -, 3: 7 more; ``nope`` is 11.
+        interp = Interpreter(parse_program(source), Connection(database), max_steps=10)
+        with pytest.raises(InterpreterError, match="step limit"):
+            interp.run("main")
+        assert interp.output == ["a"]
+        assert interp.steps == 11
+        # One step more and the unbound name is what fails.
+        interp = Interpreter(parse_program(source), Connection(database), max_steps=11)
+        with pytest.raises(InterpreterError, match="unbound variable 'nope'"):
+            interp.run("main")
+
+    def test_unevaluable_code_in_a_dead_branch_does_not_fail(self, database):
+        source = """
+        main(flag) {
+            if (flag) {
+                w = new Widget();
+                m = Math.abs();
+                s = executeScalar();
+                n = 1 + w.frobnicate(m, s);
+                break;
+            }
+            return 7;
+        }
+        """
+        assert run(source, database, "main", (False,))[0] == 7
+        with pytest.raises(InterpreterError, match="unknown class 'Widget'"):
+            run(source, database, "main", (True,))
+
+
+class TestFaults:
+    """Faults raise InterpreterError where they are reached, never a Python
+    IndexError or RuntimeError, so a MiniJava try/catch sees them."""
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("executeScalar()", "executeScalar takes 1 argument, got 0"),
+            ("executeExists()", "executeExists takes 1 argument, got 0"),
+            ('registerTempTable("t")', "registerTempTable takes 2 arguments, got 1"),
+            ("Math.abs()", r"Math.abs takes 1 argument, got 0"),
+            ("new ArrayList().get()", r"list.get takes 1 argument, got 0"),
+        ],
+    )
+    def test_wrong_argument_count(self, database, expr, message):
+        with pytest.raises(InterpreterError, match=message):
+            run(f"main() {{ return {expr}; }}", database)
+
+    def test_unpositioned_cursor_is_catchable(self, database):
+        source = """
+        main() {
+            rs = executeQueryCursor("select id from role");
+            try { x = rs.getString("id"); } catch (Exception e) { return "caught"; }
+            return "missed";
+        }
+        """
+        assert run(source, database)[0] == "caught"
+
+    def test_unbounded_recursion_hits_the_call_depth_limit(self, database):
+        source = "f(n) { return f(n + 1); }"
+        with pytest.raises(InterpreterError, match="call depth limit exceeded"):
+            run(source, database, "f", (0,))
+
+    def test_call_depth_limit_is_exact(self, database):
+        source = "g(n) { if (n <= 1) { return 1; } return 1 + g(n - 1); }"
+        assert run(source, database, "g", (MAX_CALL_DEPTH,))[0] == MAX_CALL_DEPTH
+        with pytest.raises(InterpreterError, match="call depth limit exceeded"):
+            run(source, database, "g", (MAX_CALL_DEPTH + 1,))
 
 
 class TestCollections:
