@@ -382,25 +382,27 @@ def _live_through(
             result |= {w for w in summary.writes if not w.startswith("@")} & live
         return result
     if isinstance(stmt, Block):
-        inner, _ = live_before(stmt.statements, live)
-        _merge_inner(stmt.statements, live, live_after)
-        return inner
+        return _merge_inner(stmt.statements, live, live_after)
     if isinstance(stmt, If):
-        then_live, _ = live_before(stmt.then_body.statements, live)
-        _merge_inner(stmt.then_body.statements, live, live_after)
+        then_live = _merge_inner(stmt.then_body.statements, live, live_after)
         if stmt.else_body is not None:
-            else_live, _ = live_before(stmt.else_body.statements, live)
-            _merge_inner(stmt.else_body.statements, live, live_after)
+            else_live = _merge_inner(stmt.else_body.statements, live, live_after)
         else:
             else_live = set(live)
         return then_live | else_live | expr_reads(stmt.cond)
     if isinstance(stmt, (ForEach, While)):
-        # Fixpoint: two passes suffice for structured loops.
+        # Fixpoint: two passes suffice for structured loops.  The map kept
+        # is the one walked with the final ``body_live``; a pass that adds
+        # nothing is the fixpoint, so the body is rarely walked again.
         body_live = set(live)
         for _ in range(2):
-            inner, _ = live_before(stmt.body.statements, body_live)
+            inner, inner_map = live_before(stmt.body.statements, body_live)
+            if inner <= body_live:
+                break
             body_live = body_live | inner
-        _merge_inner(stmt.body.statements, body_live, live_after)
+        else:
+            _, inner_map = live_before(stmt.body.statements, body_live)
+        _merge_map(inner_map, live_after)
         result = set(live) | body_live
         if isinstance(stmt, ForEach):
             result -= {stmt.var}
@@ -416,17 +418,24 @@ def _live_through(
             bodies.append(stmt.finally_body.statements)
         result = set(live)
         for body in bodies:
-            inner, _ = live_before(body, live)
-            _merge_inner(body, live, live_after)
-            result |= inner
+            result |= _merge_inner(body, live, live_after)
         return result
     return set(live)
 
 
 def _merge_inner(
     statements: list[Stmt], live_out: set[str], live_after: dict[int, set[str]]
+) -> set[str]:
+    """Walk a nested body once: merge its map into ``live_after``, return
+    its live-in."""
+    inner, inner_map = live_before(statements, live_out)
+    _merge_map(inner_map, live_after)
+    return inner
+
+
+def _merge_map(
+    inner_map: dict[int, set[str]], live_after: dict[int, set[str]]
 ) -> None:
-    _, inner_map = live_before(statements, live_out)
     for sid, vars_ in inner_map.items():
         live_after.setdefault(sid, set()).update(vars_)
 

@@ -42,7 +42,6 @@ diagnostics and extraction bail-outs point into the Python source.
 from __future__ import annotations
 
 import ast
-import copy
 
 from ...lang import (
     Assign,
@@ -546,7 +545,7 @@ class _FunctionLowering:
         query = self.last_query.get(call.func.value.id)
         if query is None:
             return None
-        return Call(func="executeScalar", args=[copy.deepcopy(query)], **_pos(node))
+        return Call(func="executeScalar", args=[query], **_pos(node))
 
     # ------------------------------------------------------------------
     # Expressions

@@ -9,6 +9,15 @@ Every node also carries its source position (``line``, ``col``, both
 1-based; 0 means "synthetic" — built by preprocessing or a rewrite rather
 than parsed from source).  Diagnostics and parse errors use these to point
 at code.
+
+Ownership rule: **expressions are shared immutable values; statements are
+copied and renumbered per stage.**  No code assigns into an :class:`Expr`
+after building it — a transform that changes an expression builds a new
+node — so one expression object may sit in the input and the output of
+every pipeline stage at once.  The statement skeleton (``Program``,
+``FunctionDef``, ``Block`` and every ``Stmt``) carries the statement ids each
+stage renumbers, so a stage that edits a program first takes its own
+skeleton with :func:`copy_skeleton` and edits only that.
 """
 
 from __future__ import annotations
@@ -313,6 +322,37 @@ def number_statements(node: Node, start: int = 0) -> int:
     return counter
 
 
+def copy_skeleton(node: Node) -> Node:
+    """Copy the statement skeleton under ``node``, sharing every expression.
+
+    ``Program``, ``FunctionDef``, ``Block`` and ``Stmt`` nodes are copied
+    (with their ``sid``, span and parameter list); each :class:`Expr` field
+    keeps pointing at the same, immutable, expression object.
+    """
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__)
+    if isinstance(node, Block):
+        clone.statements = [copy_skeleton(s) for s in node.statements]
+    elif isinstance(node, If):
+        clone.then_body = copy_skeleton(node.then_body)
+        if node.else_body is not None:
+            clone.else_body = copy_skeleton(node.else_body)
+    elif isinstance(node, (ForEach, While)):
+        clone.body = copy_skeleton(node.body)
+    elif isinstance(node, TryCatch):
+        clone.try_body = copy_skeleton(node.try_body)
+        if node.catch_body is not None:
+            clone.catch_body = copy_skeleton(node.catch_body)
+        if node.finally_body is not None:
+            clone.finally_body = copy_skeleton(node.finally_body)
+    elif isinstance(node, FunctionDef):
+        clone.params = list(node.params)
+        clone.body = copy_skeleton(node.body)
+    elif isinstance(node, Program):
+        clone.functions = [copy_skeleton(f) for f in node.functions]
+    return clone
+
+
 def child_statements(node: Node) -> list[Stmt]:
     """Return the direct child statements of a node (not expressions)."""
     if isinstance(node, Program):
@@ -336,6 +376,13 @@ def child_statements(node: Node) -> list[Stmt]:
             children.append(node.finally_body)
         return children
     return []
+
+
+def child_blocks(stmt: Stmt) -> list[Block]:
+    """The blocks directly nested in a statement; a ``Block`` is its own."""
+    if isinstance(stmt, Block):
+        return [stmt]
+    return child_statements(stmt)
 
 
 def walk_statements(node: Node):

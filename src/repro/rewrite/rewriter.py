@@ -11,8 +11,6 @@ heuristic decides whether that is worthwhile; see :mod:`repro.core`).
 
 from __future__ import annotations
 
-import copy
-
 from ..analysis import (
     DB_LOCATION,
     OUT_LOCATION,
@@ -36,6 +34,8 @@ from ..lang import (
     Stmt,
     TryCatch,
     While,
+    child_blocks,
+    copy_skeleton,
     number_statements,
     walk_expressions,
 )
@@ -51,9 +51,10 @@ def insert_extractions(
     """Insert ``v = <extracted>`` statements after their source loops.
 
     ``extractions`` maps a loop statement id to the (variable, expression)
-    pairs extracted from that loop.  Returns a rewritten deep copy.
+    pairs extracted from that loop.  Returns a rewritten copy; the input is
+    left as it was.
     """
-    result = copy.deepcopy(program)
+    result = copy_skeleton(program)
     func = result.function(function)
     emitter = Emitter(dialect=dialect)
     _insert_in_block(func.body, extractions, emitter)
@@ -69,7 +70,7 @@ def _insert_in_block(
     i = 0
     while i < len(block.statements):
         stmt = block.statements[i]
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             _insert_in_block(child, extractions, emitter)
         if stmt.sid in extractions:
             inserted: list[Stmt] = []
@@ -90,34 +91,43 @@ def eliminate_dead_code(program: Program, function: str) -> Program:
 
     Observable sinks: the return value, the output stream (``__out__``),
     and database writes.  Conservative for unknown calls and try/catch.
+    Returns a copy; the input is left as it was.
     """
-    result = copy.deepcopy(program)
+    result = copy_skeleton(program)
     func = result.function(function)
     changed = True
     while changed:
         live = {RET_LOCATION, OUT_VAR, OUT_LOCATION, DB_LOCATION}
-        changed = _eliminate_block(func.body, live)
+        changed, _ = _eliminate_block(func.body, live)
     number_statements(result)
     return result
 
 
-def _eliminate_block(block: Block, live: set[str]) -> bool:
-    """Backward pass; mutates the block, updates ``live`` in place.
+def _eliminate_block(
+    block: Block, live: set[str], apply: bool = True
+) -> tuple[bool, int]:
+    """Backward pass; updates ``live`` in place.
 
-    Returns True when anything was removed.
+    With ``apply`` the dead statements are deleted from the block; without
+    it the pass only marks them, and computes the same ``live`` as if it
+    had deleted them.  Returns (anything removed, statements kept).
     """
     changed = False
+    kept = 0
     for index in range(len(block.statements) - 1, -1, -1):
         stmt = block.statements[index]
-        keep, removed_inside = _process_stmt(stmt, live)
+        keep, removed_inside = _process_stmt(stmt, live, apply)
         changed |= removed_inside
-        if not keep:
+        if keep:
+            kept += 1
+            continue
+        if apply:
             del block.statements[index]
-            changed = True
-    return changed
+        changed = True
+    return changed, kept
 
 
-def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
+def _process_stmt(stmt: Stmt, live: set[str], apply: bool) -> tuple[bool, bool]:
     """Returns (keep this statement, anything removed inside it)."""
     if isinstance(stmt, Return):
         live |= stmt_def_use(stmt).reads
@@ -144,13 +154,15 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
 
     if isinstance(stmt, If):
         then_live = set(live)
-        removed = _eliminate_block(stmt.then_body, then_live)
+        removed, kept = _eliminate_block(stmt.then_body, then_live, apply)
         else_live = set(live)
         if stmt.else_body is not None:
-            removed |= _eliminate_block(stmt.else_body, else_live)
-        if not stmt.then_body.statements and (
-            stmt.else_body is None or not stmt.else_body.statements
-        ):
+            removed_else, kept_else = _eliminate_block(
+                stmt.else_body, else_live, apply
+            )
+            removed |= removed_else
+            kept += kept_else
+        if not kept:
             return False, removed
         live.clear()
         live.update(then_live | else_live | expr_reads(stmt.cond))
@@ -159,19 +171,19 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
     if isinstance(stmt, (ForEach, While)):
         # Fixpoint over iterations: a variable read by a *surviving* body
         # statement may carry the previous iteration's value, so it must
-        # stay live for the body itself.  Trial passes run on a copy until
-        # the keep-set stabilises, then one destructive pass applies it.
+        # stay live for the body itself.  Mark-only trial passes run until
+        # the keep-set stabilises, then one pass (deleting under ``apply``)
+        # applies it.
         body_live_out = set(live)
         for _ in range(len(stmt.body.statements) + 2):
-            trial = copy.deepcopy(stmt.body)
             trial_live = set(body_live_out)
-            _eliminate_block(trial, trial_live)
+            _eliminate_block(stmt.body, trial_live, apply=False)
             trial_live = {v for v in trial_live if not v.startswith("@")}
             if trial_live <= body_live_out:
                 break
             body_live_out |= trial_live
-        removed = _eliminate_block(stmt.body, body_live_out)
-        if not stmt.body.statements and _iterable_is_pure(stmt):
+        removed, kept = _eliminate_block(stmt.body, body_live_out, apply)
+        if not kept and _iterable_is_pure(stmt):
             return False, removed
         # The loop may run zero times, so a body assignment never *kills*
         # liveness for the code above the loop: everything live after the
@@ -185,8 +197,8 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
         return True, removed
 
     if isinstance(stmt, Block):
-        removed = _eliminate_block(stmt, live)
-        return bool(stmt.statements), removed
+        removed, kept = _eliminate_block(stmt, live, apply)
+        return bool(kept), removed
 
     if isinstance(stmt, TryCatch):
         # Conservative: keep, but make all reads live.
@@ -196,12 +208,6 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
         return True, False
 
     return True, False
-
-
-def _body_reads(stmt: ForEach | While) -> set[str]:
-    from ..analysis import all_reads
-
-    return {r for r in all_reads(stmt.body) if not r.startswith("@")}
 
 
 def _iterable_is_pure(stmt: ForEach | While) -> bool:
@@ -232,23 +238,3 @@ def _expr_has_side_effects(expr, ignore_reads: bool = False) -> bool:
         if isinstance(node, Call) and node.func in ("print", "println"):
             return True
     return False
-
-
-def _child_blocks(stmt: Stmt) -> list[Block]:
-    if isinstance(stmt, Block):
-        return [stmt]
-    if isinstance(stmt, If):
-        blocks = [stmt.then_body]
-        if stmt.else_body is not None:
-            blocks.append(stmt.else_body)
-        return blocks
-    if isinstance(stmt, (ForEach, While)):
-        return [stmt.body]
-    if isinstance(stmt, TryCatch):
-        blocks = [stmt.try_body]
-        if stmt.catch_body is not None:
-            blocks.append(stmt.catch_body)
-        if stmt.finally_body is not None:
-            blocks.append(stmt.finally_body)
-        return blocks
-    return []
